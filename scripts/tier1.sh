@@ -3,12 +3,8 @@
 #
 #   build        regular configure + build
 #   tests        full ctest suite (the ROADMAP command)
-#   asan         ASan+UBSan build re-running the byte-parsing subsystems
-#                (bridge wire frames, fuzzed framing, model-file loaders)
-#   tsan         ThreadSanitizer build re-running the concurrent subsystems
-#                (compilation queue, code cache, async pipeline, shared
-#                bridge client, differential interpreter-vs-JIT checks,
-#                chaos scenarios with injected stalls)
+#   asan         ASan+UBSan build re-running the full ctest suite
+#   tsan         ThreadSanitizer build re-running the full ctest suite
 #   pipeline     learning-pipeline parallelism: micro_pipeline emits
 #                BENCH_pipeline.json (bit-identity enforced by the binary)
 #                and the Pipeline/TrainerEquivalence tests re-run under
@@ -97,17 +93,15 @@ tests_step() {
 asan_step() {
   require_flag build-asan JITML_SANITIZE &&
     cmake -B build-asan -S . -DJITML_SANITIZE=ON &&
-    cmake --build build-asan -j"$(nproc)" --target jitml_tests &&
-    (cd build-asan && ctest --output-on-failure -j"$(nproc)" -R \
-      'Message\.|Service\.|Transport\.|Resilient\.|BridgeFuzz\.|FaultInjection\.|Chaos\.|Normalizer\.|LabelMap\.|LibLinear\.|Ranker\.|Merger\.|Summaries\.|Corpus\.|ILVerifierDeep\.|FuzzInput\.|Reducer\.|IlEpoch\.|OptMemo\.|KidList\.|Serve\.')
+    cmake --build build-asan -j"$(nproc)" --target jitml_tests hook_features_tests &&
+    (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 }
 
 tsan_step() {
   require_flag build-tsan JITML_TSAN &&
     cmake -B build-tsan -S . -DJITML_TSAN=ON &&
-    cmake --build build-tsan -j"$(nproc)" --target jitml_tests &&
-    (cd build-tsan && ctest --output-on-failure -j"$(nproc)" -R \
-      'CompilationQueue\.|CodeCache\.|AsyncPipeline\.|AsyncVM\.|Differential\.|DifferentialModifier\.|ConcurrentBridge\.|Chaos\.|Oracle\.|Campaign\.|OptMemo\.|Serve\.')
+    cmake --build build-tsan -j"$(nproc)" --target jitml_tests hook_features_tests &&
+    (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
 }
 
 pipeline_step() {

@@ -38,15 +38,6 @@ jitml::makeLearnedHook(LearnedStrategyProvider &P) {
   };
 }
 
-VirtualMachine::ModifierHook jitml::makeBridgedHook(ModelClient &Client) {
-  return [&Client](uint32_t MethodIndex, OptLevel Level,
-                   const FeatureVector &Features) {
-    (void)MethodIndex;
-    std::optional<uint64_t> Bits = Client.requestModifier(Level, Features);
-    return Bits ? PlanModifier::fromRaw(*Bits) : PlanModifier();
-  };
-}
-
 VirtualMachine::ModifierHook
 jitml::makeResilientHook(ResilientModelClient &Client) {
   return [&Client](uint32_t MethodIndex, OptLevel Level,

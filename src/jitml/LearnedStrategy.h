@@ -55,10 +55,6 @@ private:
 /// Hook adapter: plugs a provider into VirtualMachine::setModifierHook.
 VirtualMachine::ModifierHook makeLearnedHook(LearnedStrategyProvider &P);
 
-/// Hook adapter that goes through the bridge protocol (the model may be a
-/// thread or a separate process on the other end of the transport).
-VirtualMachine::ModifierHook makeBridgedHook(ModelClient &Client);
-
 /// Hook adapter over the hardened client: cache-first, deadline-bounded,
 /// and falling back to the unmodified hand-tuned plan whenever the model
 /// service cannot answer — a slow or dead service degrades compilation

@@ -7,43 +7,52 @@
 #include "il/ILGenerator.h"
 #include "il/LoopInfo.h"
 #include "opt/Optimizer.h"
+#include "runtime/ExecInternal.h"
 #include "support/FaultInjection.h"
 #include "verify/PassVerifier.h"
 
-#include <stdexcept>
 
 using namespace jitml;
 
-CompiledBody jitml::compileMethodBody(const Program &P, uint32_t MethodIndex,
-                                      const CompilationPlan &Plan,
-                                      const PlanModifier &Modifier,
-                                      const CostModel &Cost) {
-  std::unique_ptr<MethodIL> IL = generateIL(P, MethodIndex);
-  bool IlTrusted = true;
+PreparedMethod jitml::prepareMethod(const Program &P, uint32_t MethodIndex) {
+  PreparedMethod Out;
+  Out.StartUs = telemetryNowUs();
+  Out.IL = generateIL(P, MethodIndex);
   if (verify::verifyIlMode() != verify::VerifyIlMode::Off)
-    IlTrusted = verify::checkAfterPass(*IL, "ilgen", -1);
-  LoopInfo::annotateFrequencies(*IL);
-  FeatureVector Features = extractFeatures(*IL);
-
-  // Broken ilgen output (only survivable under a collecting failure
-  // handler) skips the pass pipeline: passes assume the invariants hold.
-  OptimizeResult Opt =
-      IlTrusted ? optimize(*IL, Plan, Modifier.enabledMask())
-                : OptimizeResult();
-  NativeMethod Native = generateCode(*IL, Opt.CodegenOptions, Plan.Level, Cost);
-
-  CompiledBody Out;
-  Out.CompileCycles = Opt.CompileCycles + Native.CompileCycles;
-  Native.CompileCycles = Out.CompileCycles;
-  Out.Features = Features;
-  Out.Native = std::make_unique<NativeMethod>(std::move(Native));
+    Out.IlTrusted = verify::checkAfterPass(*Out.IL, "ilgen", -1);
+  LoopInfo::annotateFrequencies(*Out.IL);
+  Out.Features = extractFeatures(*Out.IL);
+  Out.PrepareUs = telemetryNowUs() - Out.StartUs;
   return Out;
 }
 
-FeatureVector jitml::extractMethodFeatures(const Program &P,
-                                           uint32_t MethodIndex) {
-  std::unique_ptr<MethodIL> IL = generateIL(P, MethodIndex);
-  return extractFeatures(*IL);
+std::unique_ptr<NativeMethod>
+jitml::finishMethod(PreparedMethod &Prep, const CompilationPlan &Plan,
+                    const PlanModifier &Modifier, const CostModel &Cost) {
+  OptimizeResult Opt = Prep.IlTrusted
+                           ? optimize(*Prep.IL, Plan, Modifier.enabledMask())
+                           : OptimizeResult();
+  auto Native = std::make_unique<NativeMethod>(
+      generateCode(*Prep.IL, Opt.CodegenOptions, Plan.Level, Cost));
+  Native->CompileCycles = Opt.CompileCycles + Native->CompileCycles;
+  return Native;
+}
+
+void jitml::traceCompile(const CompileCompletion &C, int Worker,
+                         uint64_t StartUs, uint64_t DurUs) {
+  if (!TraceEmitter::global().enabled())
+    return;
+  TraceEvent E;
+  E.Stage = "compile";
+  E.StartUs = StartUs;
+  E.DurUs = DurUs;
+  E.Method = C.MethodIndex;
+  E.Level = (int)C.Level;
+  E.Worker = Worker;
+  E.Cycles = C.CompileCycles;
+  E.Detail = C.Installed ? "installed" : "stale";
+  E.Ok = C.Installed;
+  TraceEmitter::global().record(E);
 }
 
 AsyncCompilePipeline::AsyncCompilePipeline(const Program &P,
@@ -107,6 +116,7 @@ void AsyncCompilePipeline::shutdown(bool FinishPending) {
 
 std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
     const std::vector<AsyncCompileTask> &Tasks,
+    const std::vector<PreparedMethod> &Prepared,
     std::vector<CompileCompletion> &Partial) {
   ModifierFn H;
   BatchModifierFn BH;
@@ -119,14 +129,11 @@ std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
   if (!H && !BH)
     return Mods; // null modifiers: the out-of-the-box compiler
 
-  if (BH && Tasks.size() > 1) {
+  if (BH) {
     // One round trip for the whole backlog.
     std::vector<BatchPredictItem> Items(Tasks.size());
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      Items[I].MethodIndex = Tasks[I].MethodIndex;
-      Items[I].Level = Tasks[I].Level;
-      Items[I].Features = extractMethodFeatures(Prog, Tasks[I].MethodIndex);
-    }
+    for (size_t I = 0; I < Tasks.size(); ++I)
+      Items[I] = {Tasks[I].MethodIndex, Tasks[I].Level, Prepared[I].Features};
     BatchPredicts.fetch_add(1, std::memory_order_relaxed);
     Tel.BatchPredicts->add();
     try {
@@ -142,20 +149,8 @@ std::vector<PlanModifier> AsyncCompilePipeline::modifiersForBatch(
   }
 
   for (size_t I = 0; I < Tasks.size(); ++I) {
-    FeatureVector F = extractMethodFeatures(Prog, Tasks[I].MethodIndex);
     try {
-      if (BH) {
-        BatchPredicts.fetch_add(1, std::memory_order_relaxed);
-        Tel.BatchPredicts->add();
-        std::vector<BatchPredictItem> One(1);
-        One[0] = {Tasks[I].MethodIndex, Tasks[I].Level, F};
-        std::vector<PlanModifier> Got = BH(One);
-        if (Got.size() != 1)
-          throw std::runtime_error("batch hook size mismatch");
-        Mods[I] = Got[0];
-      } else {
-        Mods[I] = H(Tasks[I].MethodIndex, Tasks[I].Level, F);
-      }
+      Mods[I] = H(Tasks[I].MethodIndex, Tasks[I].Level, Prepared[I].Features);
     } catch (...) {
       Partial[I].HookFailed = true;
       Mods[I] = PlanModifier();
@@ -171,46 +166,37 @@ void AsyncCompilePipeline::workerLoop(unsigned WorkerId) {
       return; // closed and drained
     uint64_t BatchStartUs = telemetryNowUs();
 
+    std::vector<PreparedMethod> Prepared;
+    Prepared.reserve(Tasks.size());
+    for (const AsyncCompileTask &T : Tasks)
+      Prepared.push_back(prepareMethod(Prog, T.MethodIndex));
     std::vector<CompileCompletion> Done(Tasks.size());
-    std::vector<PlanModifier> Mods = modifiersForBatch(Tasks, Done);
+    std::vector<PlanModifier> Mods = modifiersForBatch(Tasks, Prepared, Done);
 
     for (size_t I = 0; I < Tasks.size(); ++I) {
       const AsyncCompileTask &T = Tasks[I];
+      PreparedMethod &Prep = Prepared[I];
       // Simulated slow worker: the method stays in flight (dequeued but
       // not noteDone), stretching the window drain()/close() must survive.
       uint64_t StallMs = 1;
       if (JITML_FAULT_POINT_ARG("pipeline.worker.stall", StallMs))
         faultDelayMs(StallMs);
-      uint64_t StartUs = telemetryNowUs();
-      CompiledBody Body = compileMethodBody(Prog, T.MethodIndex,
-                                            planForLevel(T.Level), Mods[I],
-                                            Cost);
+      uint64_t FinishStartUs = telemetryNowUs();
+      std::unique_ptr<NativeMethod> Native =
+          finishMethod(Prep, planForLevel(T.Level), Mods[I], Cost);
       CompileCompletion &C = Done[I];
       C.MethodIndex = T.MethodIndex;
       C.Level = T.Level;
       C.Modifier = Mods[I];
-      C.Features = Body.Features;
-      C.CompileCycles = Body.CompileCycles;
+      C.Features = Prep.Features;
+      C.CompileCycles = Native->CompileCycles;
       C.IsExplorationRecompile = T.IsExplorationRecompile;
-      C.Installed = Cache.install(T.MethodIndex, std::move(Body.Native),
-                                  T.Ticket);
-      uint64_t DurUs = telemetryNowUs() - StartUs;
+      C.Installed = Cache.install(T.MethodIndex, std::move(Native), T.Ticket);
+      uint64_t DurUs = Prep.PrepareUs + (telemetryNowUs() - FinishStartUs);
       Tel.CompileUs->record(DurUs);
       Tel.Compiled->add();
       (C.Installed ? Tel.Installed : Tel.Stale)->add();
-      if (TraceEmitter::global().enabled()) {
-        TraceEvent E;
-        E.Stage = "compile";
-        E.StartUs = StartUs;
-        E.DurUs = DurUs;
-        E.Method = T.MethodIndex;
-        E.Level = (int)T.Level;
-        E.Worker = (int)WorkerId;
-        E.Cycles = Body.CompileCycles;
-        E.Detail = C.Installed ? "installed" : "stale";
-        E.Ok = C.Installed;
-        TraceEmitter::global().record(E);
-      }
+      traceCompile(C, (int)WorkerId, Prep.StartUs, DurUs);
       {
         std::lock_guard<std::mutex> Lock(CompletionMu);
         Completions.push_back(C);

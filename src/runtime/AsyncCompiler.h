@@ -1,13 +1,23 @@
-//===- runtime/AsyncCompiler.h - Background compilation pipeline -*-C++-*-===//
+//===- runtime/AsyncCompiler.h - Staged compiles, async pipeline -*-C++-*-===//
 ///
 /// \file
+/// The staged compile path shared by every compilation, and the background
+/// compilation subsystem that runs it off the interpreter thread.
+///
+/// A compile runs ilgen -> verify -> annotate -> features -> decide
+/// (modifier) -> optimize -> codegen on one IL. prepareMethod covers the
+/// stages up to the features; the caller then decides the modifier (a
+/// strategy hook, a batched model round trip, or an explicit plan), and
+/// finishMethod optimizes and generates code on the same IL. So the
+/// features a hook decides on are the features the compile records.
+///
 /// Testarossa compiles on background compilation threads while the
-/// application keeps interpreting; this is that subsystem for the
-/// simulated VM. A pool of worker threads drains the CompilationQueue,
-/// runs the full compilation pipeline off the interpreter thread —
-/// feature extraction, model prediction (optionally batched: one bridge
-/// round trip covers a whole dequeued backlog), Optimizer, CodeGenerator —
-/// and publishes finished bodies through CodeCache's atomic install.
+/// application keeps interpreting; AsyncCompilePipeline is that subsystem
+/// for the simulated VM. A pool of worker threads drains the
+/// CompilationQueue, prepares every dequeued method, decides their
+/// modifiers (optionally batched: one bridge round trip covers a whole
+/// dequeued backlog), finishes each and publishes the body through
+/// CodeCache's atomic install.
 ///
 /// Threading contract: workers touch only immutable inputs (the Program,
 /// the plans, the cost model) plus the explicitly thread-safe pieces
@@ -18,7 +28,8 @@
 /// callbacks — stays on the interpreter thread: workers append a
 /// CompileCompletion record to a buffer, and the VM flushes that buffer
 /// from its own dispatch loop (a relaxed flag check per invocation, a
-/// lock only when completions are actually pending).
+/// lock only when completions are actually pending) through the same
+/// bookkeeping that applies synchronous compiles.
 ///
 /// Failure semantics mirror the sync path: a hook that throws (or a model
 /// call that falls back) compiles with the unmodified hand-tuned plan and
@@ -31,6 +42,7 @@
 
 #include "codegen/CostModel.h"
 #include "features/FeatureVector.h"
+#include "il/MethodIL.h"
 #include "modifiers/Modifier.h"
 #include "runtime/CodeCache.h"
 #include "runtime/CompilationQueue.h"
@@ -43,33 +55,46 @@ namespace jitml {
 
 class Program;
 
-/// Everything a compilation produced, before installation bookkeeping.
-struct CompiledBody {
-  std::unique_ptr<NativeMethod> Native;
-  FeatureVector Features; ///< extracted just prior to optimization
-  double CompileCycles = 0.0;
+/// A method after the stages that precede the strategy decision: ilgen,
+/// verification, frequency annotation and feature extraction. The
+/// features are computed just prior to optimization (Figure 5 step d) on
+/// the IL finishMethod then optimizes.
+struct PreparedMethod {
+  std::unique_ptr<MethodIL> IL;
+  /// False when the verifier rejected the ilgen output (survivable only
+  /// under a collecting failure handler); finishMethod then skips the pass
+  /// pipeline, which assumes the invariants hold.
+  bool IlTrusted = true;
+  FeatureVector Features;
+  uint64_t StartUs = 0;   ///< telemetry clock when preparation began
+  uint64_t PrepareUs = 0; ///< wall time of the prepare stage
 };
 
-/// The pure compile pipeline for one method: IL generation, frequency
-/// annotation, feature extraction, plan-driven optimization, code
-/// generation. Reads only immutable state, so any thread may call it.
-CompiledBody compileMethodBody(const Program &P, uint32_t MethodIndex,
-                               const CompilationPlan &Plan,
-                               const PlanModifier &Modifier,
-                               const CostModel &Cost);
+/// The prepare stage. Reads only immutable state, so any thread may call
+/// it.
+PreparedMethod prepareMethod(const Program &P, uint32_t MethodIndex);
 
-/// Features of a method as the strategy hook sees them (Figure 5 step d:
-/// computed just prior to optimization). Thread-safe like compileMethodBody.
-FeatureVector extractMethodFeatures(const Program &P, uint32_t MethodIndex);
+/// The finish stage: plan-driven optimization and code generation on
+/// Prep.IL, which it transforms in place. The body's CompileCycles cover
+/// both. Thread-safe like prepareMethod.
+std::unique_ptr<NativeMethod> finishMethod(PreparedMethod &Prep,
+                                           const CompilationPlan &Plan,
+                                           const PlanModifier &Modifier,
+                                           const CostModel &Cost);
 
-/// A finished background compilation, consumed by the interpreter thread.
-struct CompileCompletion {
+/// Everything the instrumentation needs to know about one compilation.
+/// Features are the ones the modifier was decided on.
+struct CompileEvent {
   uint32_t MethodIndex = 0;
   OptLevel Level = OptLevel::Cold;
   PlanModifier Modifier;
   FeatureVector Features;
   double CompileCycles = 0.0;
   bool IsExplorationRecompile = false;
+};
+
+/// A finished compilation, sync or async, before the VM's bookkeeping.
+struct CompileCompletion : CompileEvent {
   bool Installed = false;  ///< false: lost the install race to a newer ticket
   bool HookFailed = false; ///< modifier hook threw; null modifier was used
 };
@@ -143,6 +168,7 @@ private:
   void workerLoop(unsigned WorkerId);
   std::vector<PlanModifier>
   modifiersForBatch(const std::vector<AsyncCompileTask> &Tasks,
+                    const std::vector<PreparedMethod> &Prepared,
                     std::vector<CompileCompletion> &Partial);
 
   const Program &Prog;

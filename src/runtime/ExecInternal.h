@@ -1,8 +1,8 @@
 //===- runtime/ExecInternal.h - Engine entry points (private) --*- C++ -*-===//
 ///
 /// \file
-/// Internal interface between the VM facade and its two execution engines.
-/// Not installed; include only from runtime/*.cpp.
+/// Internal interface between the VM facade, its two execution engines and
+/// the compile pipeline. Not installed; include only from runtime/*.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,12 @@ ExecResult interpretMethod(VirtualMachine &VM, uint32_t MethodIndex,
 /// Executes compiled native code.
 ExecResult executeNative(VirtualMachine &VM, const NativeMethod &Code,
                          std::vector<Value> Args, unsigned Depth);
+
+/// Records the "compile" trace event of a finished compilation that began
+/// at \p StartUs and kept its thread busy for \p DurUs (the modifier
+/// decision excluded). \p Worker is -1 on the interpreter thread.
+void traceCompile(const CompileCompletion &C, int Worker, uint64_t StartUs,
+                  uint64_t DurUs);
 
 } // namespace jitml
 

@@ -70,114 +70,88 @@ uint64_t VirtualMachine::nextInstallTicket() {
 
 void VirtualMachine::compileMethod(uint32_t MethodIndex, OptLevel Level,
                                    bool IsExploration) {
-  if (!Hook) {
-    compileWithPlan(MethodIndex, planForLevel(Level), PlanModifier(),
-                    IsExploration);
-    return;
-  }
-  // "The Strategy Control extension computes the features for the method
-  // being compiled" just prior to optimization (Figure 5 step d).
-  FeatureVector Features = extractMethodFeatures(Prog, MethodIndex);
-  PlanModifier Modifier;
-  try {
-    Modifier = Hook(MethodIndex, Level, Features);
-  } catch (...) {
-    // A misbehaving strategy hook must never take the VM down: compile
-    // with the unmodified hand-tuned plan instead.
-    ++Stat.HookFailures;
-    Modifier = PlanModifier();
-  }
-  compileWithPlan(MethodIndex, planForLevel(Level), Modifier, IsExploration);
+  compileSync(MethodIndex, planForLevel(Level), std::nullopt, IsExploration);
 }
 
 void VirtualMachine::compileWithPlan(uint32_t MethodIndex,
                                      const CompilationPlan &Plan,
                                      const PlanModifier &Modifier,
                                      bool IsExploration) {
-  OptLevel Level = Plan.Level;
-  uint64_t StartUs = telemetryNowUs();
-  CompiledBody Body =
-      compileMethodBody(Prog, MethodIndex, Plan, Modifier, Cfg.Cost);
-  double TotalCompile = Body.CompileCycles;
-  FeatureVector Features = Body.Features;
+  compileSync(MethodIndex, Plan, Modifier, IsExploration);
+}
 
-  bool Installed =
-      Code.install(MethodIndex, std::move(Body.Native), nextInstallTicket());
+void VirtualMachine::compileSync(uint32_t MethodIndex,
+                                 const CompilationPlan &Plan,
+                                 std::optional<PlanModifier> Modifier,
+                                 bool IsExploration) {
+  PreparedMethod Prep = prepareMethod(Prog, MethodIndex);
+  CompileCompletion C;
+  C.MethodIndex = MethodIndex;
+  C.Level = Plan.Level;
+  C.Features = Prep.Features;
+  C.IsExplorationRecompile = IsExploration;
+  if (Modifier) {
+    C.Modifier = *Modifier;
+  } else if (Hook) {
+    // "The Strategy Control extension computes the features for the method
+    // being compiled" just prior to optimization (Figure 5 step d).
+    try {
+      C.Modifier = Hook(MethodIndex, Plan.Level, Prep.Features);
+    } catch (...) {
+      // A misbehaving strategy hook must never take the VM down: compile
+      // with the unmodified hand-tuned plan instead.
+      C.HookFailed = true;
+    }
+  }
+
+  uint64_t FinishStartUs = telemetryNowUs();
+  std::unique_ptr<NativeMethod> Native =
+      finishMethod(Prep, Plan, C.Modifier, Cfg.Cost);
+  C.CompileCycles = Native->CompileCycles;
+  C.Installed =
+      Code.install(MethodIndex, std::move(Native), nextInstallTicket());
+  uint64_t DurUs = Prep.PrepareUs + (telemetryNowUs() - FinishStartUs);
   // Name lookups once per process, not per compile.
   static TelemetryCounter &SyncCompiles =
       MetricRegistry::global().counter("vm.sync_compiles");
   static TelemetryHistogram &SyncCompileUs =
       MetricRegistry::global().histogram("vm.sync_compile");
   SyncCompiles.add();
-  SyncCompileUs.record(telemetryNowUs() - StartUs);
-  if (TraceEmitter::global().enabled()) {
-    TraceEvent E;
-    E.Stage = "compile";
-    E.StartUs = StartUs;
-    E.DurUs = telemetryNowUs() - StartUs;
-    E.Method = MethodIndex;
-    E.Level = (int)Level;
-    E.Cycles = TotalCompile;
-    E.Detail = Installed ? "installed" : "stale";
-    E.Ok = Installed;
-    TraceEmitter::global().record(E);
-  }
-  if (Installed)
-    Control.noteCompiled(MethodIndex, Level);
+  SyncCompileUs.record(DurUs);
+  traceCompile(C, -1, Prep.StartUs, DurUs);
+  applyCompile(C, /*Async=*/false);
+}
 
-  // Synchronous compilation: the compiler competes with the application
-  // for the same core, so compile cycles advance the clock too.
-  Clock.advance(TotalCompile);
-  Stat.CompileCycles += TotalCompile;
+void VirtualMachine::applyCompile(const CompileCompletion &C, bool Async) {
+  if (C.Installed)
+    Control.noteCompiled(C.MethodIndex, C.Level);
+  if (Async) {
+    ++(C.Installed ? Stat.AsyncInstalls : Stat.AsyncStaleCompiles);
+    // Worker compile cycles never advance the interpreter clock — the
+    // background compiler runs on its own core.
+    Stat.AsyncCompileCycles += C.CompileCycles;
+  } else {
+    // Synchronous compilation: the compiler competes with the application
+    // for the same core, so compile cycles advance the clock too.
+    Clock.advance(C.CompileCycles);
+    Stat.CompileCycles += C.CompileCycles;
+  }
   ++Stat.Compilations;
-  if (Modifier.raw() == PlanModifier().raw())
+  if (C.HookFailed)
+    ++Stat.HookFailures;
+  if (C.Modifier.raw() == PlanModifier().raw())
     ++Stat.NullModifierCompilations;
-  if (IsExploration)
+  if (C.IsExplorationRecompile)
     ++Stat.ExplorationRecompiles;
-
-  if (Listener) {
-    CompileEvent Event;
-    Event.MethodIndex = MethodIndex;
-    Event.Level = Level;
-    Event.Modifier = Modifier;
-    Event.Features = Features;
-    Event.CompileCycles = TotalCompile;
-    Event.IsExplorationRecompile = IsExploration;
-    Listener->onCompile(Event);
-  }
+  if (Listener)
+    Listener->onCompile(C);
 }
 
 void VirtualMachine::flushAsyncCompletions() {
   if (!AsyncPipe)
     return;
-  for (const CompileCompletion &C : AsyncPipe->takeCompletions()) {
-    if (C.Installed) {
-      Control.noteCompiled(C.MethodIndex, C.Level);
-      ++Stat.AsyncInstalls;
-    } else {
-      ++Stat.AsyncStaleCompiles;
-    }
-    // Worker compile cycles never advance the interpreter clock — the
-    // background compiler runs on its own core.
-    Stat.AsyncCompileCycles += C.CompileCycles;
-    ++Stat.Compilations;
-    if (C.HookFailed)
-      ++Stat.HookFailures;
-    if (C.Modifier.raw() == PlanModifier().raw())
-      ++Stat.NullModifierCompilations;
-    if (C.IsExplorationRecompile)
-      ++Stat.ExplorationRecompiles;
-    if (Listener) {
-      CompileEvent Event;
-      Event.MethodIndex = C.MethodIndex;
-      Event.Level = C.Level;
-      Event.Modifier = C.Modifier;
-      Event.Features = C.Features;
-      Event.CompileCycles = C.CompileCycles;
-      Event.IsExplorationRecompile = C.IsExplorationRecompile;
-      Listener->onCompile(Event);
-    }
-  }
+  for (const CompileCompletion &C : AsyncPipe->takeCompletions())
+    applyCompile(C, /*Async=*/true);
 }
 
 void VirtualMachine::serviceCompileRequest(const CompileRequest &Req) {

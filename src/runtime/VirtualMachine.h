@@ -6,12 +6,18 @@
 /// "JVM invocation" in the paper's terminology; the harness constructs a
 /// fresh one per run.
 ///
+/// Every compile, sync or async, takes the staged path of
+/// runtime/AsyncCompiler.h on one IL: ilgen -> verify -> annotate ->
+/// features -> decide(modifier) -> optimize -> codegen, and one function
+/// applies the finished compile to the VM's bookkeeping.
+///
 /// Two extension points reproduce the paper's architecture:
 ///  * ModifierHook — the Strategy Control attachment point. During data
 ///    collection it pulls modifiers from modifiers::StrategyControl; in
 ///    learning-enabled mode it queries the machine-learned model through
-///    the bridge (Figure 5). Default: always the null modifier (the
-///    out-of-the-box compiler).
+///    the bridge (Figure 5). It receives the features of the IL about to
+///    be optimized, which are also the features the compile records.
+///    Default: always the null modifier (the out-of-the-box compiler).
 ///  * JitEventListener — the lightweight method profiling of section 4.2
 ///    (TSC-timestamped enter/exit events and compile records). The
 ///    collect module implements it to build archives.
@@ -53,16 +59,6 @@ struct ExecResult {
     R.ExcRef = Ref;
     return R;
   }
-};
-
-/// Everything the instrumentation needs to know about one compilation.
-struct CompileEvent {
-  uint32_t MethodIndex = 0;
-  OptLevel Level = OptLevel::Cold;
-  PlanModifier Modifier;
-  FeatureVector Features;
-  double CompileCycles = 0.0;
-  bool IsExplorationRecompile = false;
 };
 
 /// Profiling callbacks (TR_jitPTTMethodEnter/Exit analogues).
@@ -130,8 +126,7 @@ public:
                      bool IsExploration = false);
 
   /// Compiles with an explicit plan and modifier, bypassing the modifier
-  /// hook — the workhorse behind compileMethod and the plan-exploration
-  /// tooling.
+  /// hook — the plan-exploration tooling's entry point.
   void compileWithPlan(uint32_t MethodIndex, const CompilationPlan &Plan,
                        const PlanModifier &Modifier,
                        bool IsExploration = false);
@@ -224,8 +219,15 @@ private:
   friend ExecResult executeNative(VirtualMachine &, const NativeMethod &,
                                   std::vector<Value>, unsigned);
 
-  /// Applies buffered worker completions to the single-threaded VM state
-  /// (CompilationControl, statistics, listener) on the interpreter thread.
+  /// The sync compile path: prepare, decide (\p Modifier, or else the
+  /// hook's answer on the prepared features), finish, install, apply.
+  void compileSync(uint32_t MethodIndex, const CompilationPlan &Plan,
+                   std::optional<PlanModifier> Modifier, bool IsExploration);
+  /// Applies one finished compilation, sync or async, to the
+  /// single-threaded VM state (CompilationControl, statistics, listener)
+  /// on the interpreter thread. Only sync compiles advance the clock.
+  void applyCompile(const CompileCompletion &C, bool Async);
+  /// Applies buffered worker completions through applyCompile.
   void flushAsyncCompletions();
   /// Routes a trigger to the pipeline (async) or compiles inline (sync).
   void serviceCompileRequest(const CompileRequest &Req);

@@ -13,6 +13,7 @@
 #include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
 #include "runtime/VirtualMachine.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -126,6 +127,16 @@ inline int64_t runBothEngines(Program &P, uint32_t Method, int64_t Arg,
   EXPECT_FALSE(RJ.Exceptional);
   EXPECT_EQ(RI.Ret.I, RJ.Ret.I) << "engine mismatch";
   return RI.Ret.I;
+}
+
+/// Two-letter codes of every workload program, both suites, paper order.
+inline std::vector<std::string> allWorkloadCodes() {
+  std::vector<std::string> Codes;
+  for (const WorkloadSpec &S : specJvm98Suite())
+    Codes.push_back(S.Code);
+  for (const WorkloadSpec &S : daCapoSuite())
+    Codes.push_back(S.Code);
+  return Codes;
 }
 
 } // namespace jitml::testing

@@ -1,5 +1,7 @@
 //===- tests/WorkloadTest.cpp - workload generator tests (TEST_P sweep) ---===//
 
+#include "TestPrograms.h"
+
 #include "bytecode/Verifier.h"
 #include "runtime/VirtualMachine.h"
 #include "workloads/Workload.h"
@@ -70,19 +72,7 @@ TEST_P(WorkloadSweep, VerifiesAndMatchesInterpreter) {
   EXPECT_GT(VM.stats().Compilations, 0u);
 }
 
-namespace {
-
-std::vector<std::string> allWorkloadCodes() {
-  std::vector<std::string> Codes;
-  for (const WorkloadSpec &S : specJvm98Suite())
-    Codes.push_back(S.Code);
-  for (const WorkloadSpec &S : daCapoSuite())
-    Codes.push_back(S.Code);
-  return Codes;
-}
-
-} // namespace
-
-INSTANTIATE_TEST_SUITE_P(AllBenchmarks, WorkloadSweep,
-                         ::testing::ValuesIn(allWorkloadCodes()),
-                         [](const auto &Info) { return Info.param; });
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, WorkloadSweep,
+    ::testing::ValuesIn(jitml::testing::allWorkloadCodes()),
+    [](const auto &Info) { return Info.param; });
