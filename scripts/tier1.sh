@@ -93,14 +93,14 @@ tests_step() {
 asan_step() {
   require_flag build-asan JITML_SANITIZE &&
     cmake -B build-asan -S . -DJITML_SANITIZE=ON &&
-    cmake --build build-asan -j"$(nproc)" --target jitml_tests hook_features_tests &&
+    cmake --build build-asan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests &&
     (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 }
 
 tsan_step() {
   require_flag build-tsan JITML_TSAN &&
     cmake -B build-tsan -S . -DJITML_TSAN=ON &&
-    cmake --build build-tsan -j"$(nproc)" --target jitml_tests hook_features_tests &&
+    cmake --build build-tsan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests &&
     (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
 }
 

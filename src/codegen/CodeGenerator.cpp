@@ -53,6 +53,7 @@ private:
   void schedule(NativeBlock &B);
   void layout();
   void computePenalties();
+  void computeExecTables();
 
   const MethodIL &IL;
   const TransformSet &Options;
@@ -728,6 +729,32 @@ void Lowering::computePenalties() {
   }
 }
 
+void Lowering::computeExecTables() {
+  double ICache = Out.ICacheFactor;
+  Out.TakenCharge = CM.BranchTakenExtra * ICache;
+  for (uint32_t Pos = 0; Pos < Out.Layout.size(); ++Pos)
+    Out.Blocks[Out.Layout[Pos]].LayoutPos = Pos;
+  for (NativeBlock &B : Out.Blocks) {
+    B.EntryCharge = B.SpillPenalty * ICache;
+    B.InstCharge.resize(B.Insts.size());
+    // Every block entry, handler entry included, starts with no pending
+    // result, so each instruction's stall depends only on its predecessor.
+    uint16_t PrevDst = NoReg;
+    for (size_t K = 0; K < B.Insts.size(); ++K) {
+      const NativeInst &I = B.Insts[K];
+      double Cost = CM.instCost(I);
+      // Pipeline stall: the previous instruction's result is consumed
+      // immediately.
+      if (PrevDst != NoReg &&
+          (I.A == PrevDst || I.B == PrevDst ||
+           std::find(I.Args.begin(), I.Args.end(), PrevDst) != I.Args.end()))
+        Cost += CM.StallCost;
+      B.InstCharge[K] = Cost * ICache;
+      PrevDst = I.Dst;
+    }
+  }
+}
+
 NativeMethod Lowering::run() {
   Out.Blocks.resize(IL.numBlocks());
   for (BlockId B = 0; B < IL.numBlocks(); ++B) {
@@ -763,6 +790,7 @@ NativeMethod Lowering::run() {
         HasCall = true;
   Out.Leaf =
       !HasCall && Options.contains(TransformationKind::LeafRoutineOptimization);
+  computeExecTables();
   return std::move(Out);
 }
 

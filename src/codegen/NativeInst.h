@@ -7,6 +7,13 @@
 /// its cost model (CostModel.h) is where code quality becomes measurable
 /// time, which is what the ranking function (Eq. 2) consumes.
 ///
+/// Besides the code, a NativeMethod carries the execution facts that are
+/// fixed once it is compiled: each instruction's cycle charge (issue cost
+/// plus dependency stall, scaled by the icache factor), each block's entry
+/// charge and layout position, and the taken-branch charge. generateCode
+/// fills them in as its last step, so the executor only adds them up.
+/// Code that edits a block's Insts after generateCode must rebuild them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JITML_CODEGEN_NATIVEINST_H
@@ -109,6 +116,15 @@ struct NativeBlock {
   /// spills when the block needs more virtual registers than the machine
   /// has physical ones.
   double SpillPenalty = 0.0;
+
+  // Execution facts, filled in by generateCode.
+  /// Cycles charged for each of Insts: (issue cost + stall) * icache
+  /// factor.
+  std::vector<double> InstCharge;
+  /// SpillPenalty * icache factor, charged on each entry.
+  double EntryCharge = 0.0;
+  /// Position in the method's Layout; UINT32_MAX when not emitted.
+  uint32_t LayoutPos = UINT32_MAX;
 };
 
 /// A fully compiled method body.
@@ -126,6 +142,9 @@ struct NativeMethod {
   /// Instruction-cache pressure factor >= 1.0 derived from warm code size;
   /// every executed cycle in this method is scaled by it.
   double ICacheFactor = 1.0;
+  /// BranchTakenExtra * ICacheFactor: charged for each transfer that does
+  /// not fall through to the next block in layout order.
+  double TakenCharge = 0.0;
   /// Simulated compile cycles spent by code generation (added to the
   /// optimizer's effort to form the method's total compile time).
   double CompileCycles = 0.0;

@@ -6,33 +6,32 @@ using namespace jitml;
 
 void CollectionListener::onMethodEnter(uint32_t MethodIndex,
                                        const TscSample &Now) {
-  auto It = Open.find(MethodIndex);
-  if (It == Open.end() || !It->second.Active)
+  OpenRecord &O = Open[MethodIndex];
+  if (!O.Active)
     return; // not compiled-for-collection yet
-  It->second.EnterStack.push_back(Now);
+  O.EnterStack.push_back(Now);
 }
 
 void CollectionListener::onMethodExit(uint32_t MethodIndex,
                                       const TscSample &Now,
                                       bool Exceptional) {
   (void)Exceptional; // exceptional exits are timed like normal ones
-  auto It = Open.find(MethodIndex);
-  if (It == Open.end() || !It->second.Active ||
-      It->second.EnterStack.empty())
+  OpenRecord &O = Open[MethodIndex];
+  if (!O.Active || O.EnterStack.empty())
     return;
-  TscSample Enter = It->second.EnterStack.back();
-  It->second.EnterStack.pop_back();
+  TscSample Enter = O.EnterStack.back();
+  O.EnterStack.pop_back();
   // rdtscp gave us the core id with each read: "checking that the
   // identifier is the same in the enter and exit measurements ... and
   // discarding the measurement when they are not, avoids the type of
   // imprecision caused by TSC drift".
   if (Enter.CoreId != Now.CoreId || Now.Tsc < Enter.Tsc) {
-    ++It->second.Rec.DiscardedSamples;
+    ++O.Rec.DiscardedSamples;
     ++TotalDiscarded;
     return;
   }
-  It->second.Rec.RunCycles += (double)(Now.Tsc - Enter.Tsc);
-  ++It->second.Rec.Invocations;
+  O.Rec.RunCycles += (double)(Now.Tsc - Enter.Tsc);
+  ++O.Rec.Invocations;
 }
 
 void CollectionListener::onCompile(const CompileEvent &Event) {
@@ -55,8 +54,7 @@ void CollectionListener::onCompile(const CompileEvent &Event) {
 }
 
 void CollectionListener::finalize() {
-  for (auto &[Method, O] : Open) {
-    (void)Method;
+  for (OpenRecord &O : Open) {
     if (O.Active && O.Rec.Invocations > 0) {
       Records.push_back(O.Rec);
       if (OnRecordClosed)

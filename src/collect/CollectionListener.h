@@ -19,21 +19,22 @@
 #include "support/StringInterner.h"
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace jitml {
 
 class CollectionListener : public JitEventListener {
 public:
-  explicit CollectionListener(const Program &P) : Prog(P) {}
+  explicit CollectionListener(const Program &P)
+      : Prog(P), Open(P.numMethods()) {}
 
   void onMethodEnter(uint32_t MethodIndex, const TscSample &Now) override;
   void onMethodExit(uint32_t MethodIndex, const TscSample &Now,
                     bool Exceptional) override;
   void onCompile(const CompileEvent &Event) override;
 
-  /// Closes all open records. Call once after the application finished.
+  /// Closes all open records, in method order. Call once after the
+  /// application finished.
   void finalize();
 
   /// Invoked whenever a record closes (a recompilation supersedes it or
@@ -57,7 +58,7 @@ private:
 
   const Program &Prog;
   StringInterner Signatures;
-  std::unordered_map<uint32_t, OpenRecord> Open; ///< per method
+  std::vector<OpenRecord> Open; ///< indexed by method
   std::vector<CollectionRecord> Records;
   std::function<void(const CollectionRecord &)> OnRecordClosed;
   uint64_t TotalDiscarded = 0;

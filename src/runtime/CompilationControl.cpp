@@ -78,13 +78,11 @@ void CompilationControl::noteCompiled(uint32_t MethodIndex, OptLevel Level) {
 
 std::optional<OptLevel>
 CompilationControl::levelOf(uint32_t MethodIndex) const {
-  auto It = States.find(MethodIndex);
-  if (It == States.end() || !It->second.Compiled)
+  if (MethodIndex >= States.size() || !States[MethodIndex].Compiled)
     return std::nullopt;
-  return It->second.Level;
+  return States[MethodIndex].Level;
 }
 
 uint64_t CompilationControl::invocationsOf(uint32_t MethodIndex) const {
-  auto It = States.find(MethodIndex);
-  return It == States.end() ? 0 : It->second.Invocations;
+  return MethodIndex < States.size() ? States[MethodIndex].Invocations : 0;
 }

@@ -26,9 +26,10 @@
 #include "il/LoopInfo.h"
 #include "opt/Plan.h"
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 namespace jitml {
 
@@ -67,7 +68,9 @@ public:
     uint32_t ExplorationMaxInvocations = 50000;
   };
 
-  explicit CompilationControl(const Config &C) : Cfg(C) {}
+  /// Tracks methods 0 .. NumMethods-1 of one program.
+  CompilationControl(const Config &C, uint32_t NumMethods)
+      : Cfg(C), States(NumMethods) {}
 
   /// Reports a finished invocation; returns a compile request when a
   /// trigger fired. \p LC is the method's loop class (computed once by the
@@ -106,10 +109,14 @@ private:
     bool ExplorationFrozen = false;
   };
 
-  MethodState &stateOf(uint32_t M) { return States[M]; }
+  MethodState &stateOf(uint32_t M) {
+    assert(M < States.size() && "method outside the program");
+    return States[M];
+  }
 
   Config Cfg;
-  std::unordered_map<uint32_t, MethodState> States;
+  /// Indexed by method; looked up on every invocation.
+  std::vector<MethodState> States;
 };
 
 } // namespace jitml

@@ -1,10 +1,18 @@
 //===- runtime/NativeExecutor.cpp - Simulated native execution ------------===//
 //
-// Interprets compiled NativeMethod bodies under the cycle cost model:
-// per-instruction issue costs, dependency stalls, taken-branch penalties
-// relative to the emitted layout, per-block spill penalties, and the
-// method-wide icache factor. Semantics match the bytecode interpreter
-// exactly; only the cycle accounting differs.
+// Interprets compiled NativeMethod bodies under the cycle cost model.
+// Semantics match the bytecode interpreter exactly; only the cycle
+// accounting differs.
+//
+// The static part of that accounting — each instruction's issue cost plus
+// dependency stall, each block's spill penalty, the taken-branch penalty
+// relative to the emitted layout, all scaled by the method's icache
+// factor — was fixed by generateCode, so the executor charges the
+// precomputed values, in the order it executes them. Only the charges that
+// depend on run-time values (array sizes, unwinding) are computed here.
+// A call's frame is one allocation: the argument vector grows into the
+// locals followed by the virtual registers. An exception that escapes the
+// method is unwound in one place, after the instruction that raised it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,23 +62,23 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
   Heap &H = VM.heap();
   double ICache = Code.ICacheFactor;
 
-  std::vector<Value> Locals(Code.NumLocals);
-  for (size_t I = 0; I < Args.size(); ++I)
-    Locals[I] = Args[I];
-  std::vector<Value> Regs(std::max<uint32_t>(Code.NumVRegs, 1));
+  assert(Args.size() <= Code.NumLocals && "more arguments than locals");
+  std::vector<Value> Frame = std::move(Args);
+  Frame.resize(Code.NumLocals + std::max<uint32_t>(Code.NumVRegs, 1));
+  Value *Locals = Frame.data();
+  Value *Regs = Locals + Code.NumLocals;
   Value ExcValue; ///< the in-flight exception for LdExc
 
-  // Position of each block in the emitted layout (for taken-branch cost).
-  std::vector<uint32_t> LayoutPos(Code.Blocks.size(), UINT32_MAX);
-  for (uint32_t I = 0; I < Code.Layout.size(); ++I)
-    LayoutPos[Code.Layout[I]] = I;
-
   int32_t Block = (int32_t)Code.Entry;
-  uint16_t PrevDst = NoReg;
 
-  // Transfers control to an exception handler of the current block, or
-  // returns false when the exception escapes the method.
-  auto DispatchExc = [&](uint32_t ExcRef) -> bool {
+  bool Transferred = false; ///< exception dispatch changed Block
+  bool Escaping = false;    ///< EscapingExc leaves the method
+  uint32_t EscapingExc = 0;
+
+  // Transfers control to the first matching handler of the current block,
+  // or marks the exception as escaping, to be unwound once the instruction
+  // ends.
+  auto Dispatch = [&](uint32_t ExcRef) {
     for (const auto &[Handler, ClassIdx] : Code.Blocks[Block].Handlers) {
       if (ClassIdx >= 0) {
         int32_t Cls = H.classOf(ExcRef);
@@ -79,40 +87,26 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       }
       ExcValue = Value::ofR(ExcRef);
       Block = Handler;
-      PrevDst = NoReg;
-      return true;
+      Transferred = true;
+      return;
     }
-    return false;
+    Escaping = true;
+    EscapingExc = ExcRef;
+  };
+  auto Trap = [&](RtExceptionKind Kind) {
+    uint32_t Exc = H.allocException(Kind);
+    VM.noteException();
+    Dispatch(Exc);
   };
 
   while (true) {
     const NativeBlock &B = Code.Blocks[(uint32_t)Block];
-    VM.charge(B.SpillPenalty * ICache);
-    bool Transferred = false; ///< exception dispatch changed Block
+    VM.charge(B.EntryCharge);
+    Transferred = false;
 
     for (size_t II = 0; II < B.Insts.size() && !Transferred; ++II) {
       const NativeInst &I = B.Insts[II];
-      double Cost = CM.instCost(I);
-      // Pipeline stall: the previous instruction's result is consumed
-      // immediately.
-      if (PrevDst != NoReg &&
-          (I.A == PrevDst || I.B == PrevDst ||
-           std::find(I.Args.begin(), I.Args.end(), PrevDst) !=
-               I.Args.end()))
-        Cost += CM.StallCost;
-      VM.charge(Cost * ICache);
-      uint16_t ThisDst = I.Dst;
-
-      auto Trap = [&](RtExceptionKind Kind) {
-        uint32_t Exc = H.allocException(Kind);
-        VM.noteException();
-        if (DispatchExc(Exc)) {
-          Transferred = true;
-          return ExecResult::ok(Value());
-        }
-        VM.charge(CM.UnwindPerFrame * ICache);
-        return ExecResult::exception(Exc);
-      };
+      VM.charge(B.InstCharge[II]);
 
       switch (I.Op) {
       case NOp::Nop:
@@ -141,9 +135,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::LdFld: {
         uint32_t Obj = Regs[I.A].R;
         if (H.isNull(Obj)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         Regs[I.Dst] = H.getSlot(Obj, (uint32_t)I.Aux);
@@ -152,9 +144,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::StFld: {
         uint32_t Obj = Regs[I.A].R;
         if (H.isNull(Obj)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         H.setSlot(Obj, (uint32_t)I.Aux, Regs[I.B]);
@@ -164,15 +154,11 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         uint32_t Arr = Regs[I.A].R;
         int64_t Idx = Regs[I.B].I;
         if (H.isNull(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         if (Idx < 0 || (uint64_t)Idx >= H.arrayLength(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::ArrayIndexOutOfBounds);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::ArrayIndexOutOfBounds);
           break;
         }
         Regs[I.Dst] = H.getSlot(Arr, (uint32_t)Idx);
@@ -182,15 +168,11 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         uint32_t Arr = Regs[I.A].R;
         int64_t Idx = Regs[I.B].I;
         if (H.isNull(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         if (Idx < 0 || (uint64_t)Idx >= H.arrayLength(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::ArrayIndexOutOfBounds);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::ArrayIndexOutOfBounds);
           break;
         }
         H.setSlot(Arr, (uint32_t)Idx, Regs[I.Args[0]]);
@@ -199,9 +181,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::ArrLen: {
         uint32_t Arr = Regs[I.A].R;
         if (H.isNull(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         Regs[I.Dst] = Value::ofI(H.arrayLength(Arr));
@@ -224,9 +204,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         Value R =
             evalArith(arithBcOp(I.Op), I.T, Regs[I.A], Regs[I.B], DivByZero);
         if (DivByZero) {
-          ExecResult Res = Trap(RtExceptionKind::ArithmeticDivByZero);
-          if (!Transferred)
-            return Res;
+          Trap(RtExceptionKind::ArithmeticDivByZero);
           break;
         }
         Regs[I.Dst] = R;
@@ -262,9 +240,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
           CallArgs[K] = Regs[I.Args[K]];
         if (I.Imm == 1) { // virtual dispatch
           if (H.isNull(CallArgs[0].R)) {
-            ExecResult R = Trap(RtExceptionKind::NullPointer);
-            if (!Transferred)
-              return R;
+            Trap(RtExceptionKind::NullPointer);
             break;
           }
           int32_t DynClass = H.classOf(CallArgs[0].R);
@@ -272,15 +248,9 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
           Target = P.resolveVirtual(Target, (uint32_t)DynClass);
         }
         ExecResult R = VM.invoke(Target, std::move(CallArgs), Depth + 1);
-        if (R.Exceptional) {
-          if (DispatchExc(R.ExcRef)) {
-            Transferred = true;
-            break;
-          }
-          VM.charge(CM.UnwindPerFrame * ICache);
-          return R;
-        }
-        if (I.Dst != NoReg)
+        if (R.Exceptional)
+          Dispatch(R.ExcRef);
+        else if (I.Dst != NoReg)
           Regs[I.Dst] = R.Ret;
         break;
       }
@@ -289,18 +259,12 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::ThrowR: {
         uint32_t Exc = Regs[I.A].R;
         if (H.isNull(Exc)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         VM.noteException();
-        if (DispatchExc(Exc)) {
-          Transferred = true;
-          break;
-        }
-        VM.charge(CM.UnwindPerFrame * ICache);
-        return ExecResult::exception(Exc);
+        Dispatch(Exc);
+        break;
       }
       case NOp::NewObj:
         Regs[I.Dst] = Value::ofR(H.allocObject(P, (uint32_t)I.Aux));
@@ -308,9 +272,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::NewArr: {
         int64_t Len = Regs[I.A].I;
         if (Len < 0) {
-          ExecResult R = Trap(RtExceptionKind::NegativeArraySize);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NegativeArraySize);
           break;
         }
         VM.charge(CM.AllocArrayPerElem * (double)Len * ICache);
@@ -327,9 +289,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
             Bad = true;
         }
         if (Bad) {
-          ExecResult R = Trap(RtExceptionKind::NegativeArraySize);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NegativeArraySize);
           break;
         }
         auto Build = [&](auto &&Self, unsigned Dim) -> uint32_t {
@@ -359,56 +319,33 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         uint32_t Obj = Regs[I.A].R;
         if (!H.isNull(Obj)) {
           int32_t Cls = H.classOf(Obj);
-          if (Cls < 0 || !P.isSubclassOf(Cls, I.Aux)) {
-            ExecResult R = Trap(RtExceptionKind::ClassCast);
-            if (!Transferred)
-              return R;
-            break;
-          }
+          if (Cls < 0 || !P.isSubclassOf(Cls, I.Aux))
+            Trap(RtExceptionKind::ClassCast);
         }
         break;
       }
       case NOp::MonEnter:
-      case NOp::MonExit: {
-        if (H.isNull(Regs[I.A].R)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
-          break;
-        }
-        break;
-      }
+      case NOp::MonExit:
       case NOp::NullChk:
-        if (H.isNull(Regs[I.A].R)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
-        }
+        if (H.isNull(Regs[I.A].R))
+          Trap(RtExceptionKind::NullPointer);
         break;
       case NOp::BndChk: {
         uint32_t Arr = Regs[I.A].R;
         // A fused check covers the null test the guard-merging pass
         // removed.
         if (H.isNull(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         int64_t Idx = Regs[I.B].I;
-        if (Idx < 0 || (uint64_t)Idx >= H.arrayLength(Arr)) {
-          ExecResult R = Trap(RtExceptionKind::ArrayIndexOutOfBounds);
-          if (!Transferred)
-            return R;
-        }
+        if (Idx < 0 || (uint64_t)Idx >= H.arrayLength(Arr))
+          Trap(RtExceptionKind::ArrayIndexOutOfBounds);
         break;
       }
       case NOp::DivChk:
-        if (Regs[I.A].I == 0) {
-          ExecResult R = Trap(RtExceptionKind::ArithmeticDivByZero);
-          if (!Transferred)
-            return R;
-        }
+        if (Regs[I.A].I == 0)
+          Trap(RtExceptionKind::ArithmeticDivByZero);
         break;
       case NOp::ArrCopy: {
         uint32_t Src = Regs[I.Args[0]].R;
@@ -417,17 +354,13 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         int64_t DstPos = Regs[I.Args[3]].I;
         int64_t Len = Regs[I.Args[4]].I;
         if (H.isNull(Src) || H.isNull(Dst)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         if (Len < 0 || SrcPos < 0 || DstPos < 0 ||
             (uint64_t)(SrcPos + Len) > H.arrayLength(Src) ||
             (uint64_t)(DstPos + Len) > H.arrayLength(Dst)) {
-          ExecResult R = Trap(RtExceptionKind::ArrayIndexOutOfBounds);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::ArrayIndexOutOfBounds);
           break;
         }
         VM.charge(CM.ArrayCopyPerElem * (double)Len * ICache);
@@ -439,9 +372,7 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
       case NOp::ArrCmp: {
         uint32_t A = Regs[I.A].R, BRef = Regs[I.B].R;
         if (H.isNull(A) || H.isNull(BRef)) {
-          ExecResult R = Trap(RtExceptionKind::NullPointer);
-          if (!Transferred)
-            return R;
+          Trap(RtExceptionKind::NullPointer);
           break;
         }
         uint32_t LenA = H.arrayLength(A), LenB = H.arrayLength(BRef);
@@ -458,7 +389,10 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
         break;
       }
       }
-      PrevDst = Transferred ? NoReg : ThisDst;
+      if (Escaping) {
+        VM.charge(CM.UnwindPerFrame * ICache);
+        return ExecResult::exception(EscapingExc);
+      }
     }
     if (Transferred)
       continue; // exception dispatch already selected the next block
@@ -479,9 +413,8 @@ ExecResult jitml::executeNative(VirtualMachine &VM, const NativeMethod &Code,
     assert(Next >= 0 && "terminator without a successor");
     // Transfers that do not fall through to the next block in layout
     // order cost extra (branch predictor / fetch redirect).
-    if (LayoutPos[(uint32_t)Next] != LayoutPos[(uint32_t)Block] + 1)
-      VM.charge(CM.BranchTakenExtra * ICache);
+    if (Code.Blocks[(uint32_t)Next].LayoutPos != B.LayoutPos + 1)
+      VM.charge(Code.TakenCharge);
     Block = Next;
-    PrevDst = NoReg;
   }
 }

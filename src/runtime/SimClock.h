@@ -10,6 +10,10 @@
 /// id, so the instrumentation can detect cross-core samples and discard
 /// them exactly as the paper's collection infrastructure does.
 ///
+/// advance() is the hot path of simulated execution: an inline add and
+/// compare against the next migration point, with the migration itself
+/// out of line.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JITML_RUNTIME_SIMCLOCK_H
@@ -42,8 +46,13 @@ public:
   SimClock() : SimClock(Config{}) {}
   explicit SimClock(const Config &C);
 
-  /// Advances simulated time by \p Cycles (fractional cycles accumulate).
-  void advance(double Cycles);
+  /// Advances simulated time by \p C cycles (fractional cycles
+  /// accumulate).
+  void advance(double C) {
+    Cycles += C;
+    if (Cycles >= NextMigration)
+      migrate();
+  }
 
   /// Total cycles elapsed since construction.
   double cycles() const { return Cycles; }
@@ -56,7 +65,9 @@ public:
   uint64_t migrations() const { return Migrations; }
 
 private:
-  void maybeMigrate();
+  /// Moves the thread to random cores until the next migration lies in
+  /// the future.
+  void migrate();
 
   Config Cfg;
   Rng R;

@@ -12,7 +12,7 @@ using namespace jitml;
 JitEventListener::~JitEventListener() = default;
 
 VirtualMachine::VirtualMachine(const Program &P, const Config &C)
-    : Prog(P), Cfg(C), Clock(C.Clock), Control(C.Control) {
+    : Prog(P), Cfg(C), Clock(C.Clock), Control(C.Control, P.numMethods()) {
   Globals.resize(P.numGlobals());
   Code.reset(P.numMethods());
   LoopClassCache.assign(P.numMethods(), -1);

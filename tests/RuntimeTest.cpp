@@ -326,7 +326,7 @@ TEST(SimClock, CoresDrift) {
 
 TEST(Control, PromotesThroughTiers) {
   CompilationControl::Config Cfg;
-  CompilationControl Control(Cfg);
+  CompilationControl Control(Cfg, 8);
   unsigned Promotions = 0;
   OptLevel Last = OptLevel::Cold;
   for (int I = 0; I < 200000 && Promotions < 5; ++I) {
@@ -346,7 +346,7 @@ TEST(Control, PromotesThroughTiers) {
 TEST(Control, LoopyMethodsPromoteSooner) {
   CompilationControl::Config Cfg;
   auto FirstCompileAt = [&](LoopClass LC) {
-    CompilationControl Control(Cfg);
+    CompilationControl Control(Cfg, 8);
     for (int I = 1;; ++I) {
       if (Control.onInvocationEnd(1, 1.0, LC))
         return I;
@@ -360,7 +360,7 @@ TEST(Control, LoopyMethodsPromoteSooner) {
 
 TEST(Control, TimeSamplingCatchesLongRunners) {
   CompilationControl::Config Cfg;
-  CompilationControl Control(Cfg);
+  CompilationControl Control(Cfg, 8);
   // One invocation burning far more than the tier-0 cycle trigger.
   auto Req = Control.onInvocationEnd(1, Cfg.CycleTriggers[0] + 1,
                                      LoopClass::NoLoops);
@@ -372,7 +372,7 @@ TEST(Control, CollectModeIssuesExplorationRecompiles) {
   CompilationControl::Config Cfg;
   Cfg.CollectMode = true;
   Cfg.ExplorationTargetCycles = 1000.0;
-  CompilationControl Control(Cfg);
+  CompilationControl Control(Cfg, 8);
   Control.noteCompiled(1, OptLevel::Cold);
   unsigned Explorations = 0;
   for (int I = 0; I < 5000; ++I) {
@@ -392,7 +392,7 @@ TEST(Control, ExplorationThresholdClampedToFifty) {
   CompilationControl::Config Cfg;
   Cfg.CollectMode = true;
   Cfg.ExplorationTargetCycles = 1.0; // would want ~0 invocations
-  CompilationControl Control(Cfg);
+  CompilationControl Control(Cfg, 8);
   Control.noteCompiled(1, OptLevel::Cold);
   int FirstAt = 0;
   for (int I = 1; I < 200 && !FirstAt; ++I) {
