@@ -29,7 +29,11 @@
 #   serve        multi-client serving daemon: micro_serve enforces
 #                bit-identical client streams vs the single-client loop,
 #                the >=1.5x cross-client batching speedup, and exact shed
-#                accounting (BENCH_serve.json), plus the Serve ctest suite
+#                accounting (BENCH_serve.json), plus every bridge and
+#                serve ctest (Serve, Service, Resilient, ConcurrentBridge,
+#                Transport, Message, BridgeFuzz, BridgeProtocol), each
+#                repeated until it fails, 20 times at most, to catch an
+#                intermittent wrong answer
 #
 # The script stops at the first failing suite with a non-zero exit, and
 # always ends with a summary table (result + wall time per suite).
@@ -93,14 +97,16 @@ tests_step() {
 asan_step() {
   require_flag build-asan JITML_SANITIZE &&
     cmake -B build-asan -S . -DJITML_SANITIZE=ON &&
-    cmake --build build-asan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests &&
+    cmake --build build-asan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests \
+      bridge_protocol_tests hot_modifier_sweep_tests &&
     (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 }
 
 tsan_step() {
   require_flag build-tsan JITML_TSAN &&
     cmake -B build-tsan -S . -DJITML_TSAN=ON &&
-    cmake --build build-tsan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests &&
+    cmake --build build-tsan -j"$(nproc)" --target jitml_tests hook_features_tests exec_ledger_tests \
+      bridge_protocol_tests hot_modifier_sweep_tests &&
     (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
 }
 
@@ -140,9 +146,12 @@ opt_perf_step() {
 }
 
 serve_step() {
-  cmake --build build -j"$(nproc)" --target micro_serve jitml_tests &&
+  cmake --build build -j"$(nproc)" --target micro_serve jitml_tests \
+    bridge_protocol_tests &&
     ./build/bench/micro_serve BENCH_serve.json &&
-    (cd build && ctest --output-on-failure -j"$(nproc)" -R 'Serve\.')
+    (cd build && ctest --output-on-failure -j"$(nproc)" \
+      --repeat until-fail:20 -R \
+      'Serve\.|Service\.|Resilient\.|ConcurrentBridge\.|Transport\.|Message\.|BridgeFuzz\.|BridgeProtocol')
 }
 
 run_suite build build_step

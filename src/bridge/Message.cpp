@@ -11,22 +11,10 @@ using namespace jitml;
 
 Transport::~Transport() = default;
 
-IoStatus Transport::readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs) {
-  (void)TimeoutMs; // block-forever transports ignore the deadline
-  return readBytes(Data, Size) ? IoStatus::Ok : IoStatus::Closed;
-}
-
 bool CountingTransport::writeBytes(const uint8_t *Data, size_t Size) {
   if (!Inner.writeBytes(Data, Size))
     return false;
   BytesSent += Size;
-  return true;
-}
-
-bool CountingTransport::readBytes(uint8_t *Data, size_t Size) {
-  if (!Inner.readBytes(Data, Size))
-    return false;
-  BytesReceived += Size;
   return true;
 }
 
@@ -80,6 +68,12 @@ double getF64(const uint8_t *P) {
 }
 
 } // namespace
+
+uint32_t jitml::decodeFrameLength(const uint8_t *Head) {
+  uint32_t Size = Head[0] | (Head[1] << 8) | (Head[2] << 16) |
+                  ((uint32_t)Head[3] << 24);
+  return Size > (1u << 20) ? 0 : Size;
+}
 
 void jitml::encodeMessageFrame(const Message &M, std::vector<uint8_t> &Out) {
   std::vector<uint8_t> Payload;
@@ -238,12 +232,9 @@ RecvStatus jitml::recvMessageFor(Transport &T, Message &Out, int TimeoutMs) {
   IoStatus S = T.readBytesFor(Head, 4, TimeoutMs);
   if (S != IoStatus::Ok)
     return S == IoStatus::Timeout ? RecvStatus::Timeout : RecvStatus::Closed;
-  uint32_t Size = Head[0] | (Head[1] << 8) | (Head[2] << 16) |
-                  ((uint32_t)Head[3] << 24);
-  // An unframeable length prefix means we cannot find the next frame
-  // boundary: the stream is garbage from here on, so treat it as dead.
-  if (Size == 0 || Size > (1u << 20))
-    return RecvStatus::Closed;
+  uint32_t Size = decodeFrameLength(Head);
+  if (Size == 0)
+    return RecvStatus::Closed; // unframeable: the stream is garbage from here
   std::vector<uint8_t> Payload(Size);
   S = T.readBytesFor(Payload.data(), Size, Remaining());
   if (S != IoStatus::Ok)

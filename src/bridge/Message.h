@@ -87,21 +87,20 @@ enum class IoStatus : uint8_t {
   Closed,  ///< EOF or broken connection
 };
 
-/// Byte-stream transport. Implementations must deliver bytes in order and
-/// block until the requested amount is available (or the peer goes away).
+/// Byte-stream transport. Implementations must deliver bytes in order.
+/// There is one read primitive, readBytesFor; a blocking read is a read
+/// with a negative deadline.
 class Transport {
 public:
   virtual ~Transport();
   /// Writes all bytes; false on a broken connection.
   virtual bool writeBytes(const uint8_t *Data, size_t Size) = 0;
-  /// Reads exactly \p Size bytes; false on EOF / broken connection.
-  virtual bool readBytes(uint8_t *Data, size_t Size) = 0;
   /// Reads exactly \p Size bytes waiting at most \p TimeoutMs milliseconds
-  /// (negative = wait forever). After a Timeout the stream may have been
-  /// consumed partway through a frame, so callers must treat the
-  /// connection as unusable. The base implementation ignores the deadline
-  /// (block-forever transports).
-  virtual IoStatus readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs);
+  /// (negative = wait forever). Closed on EOF or a broken connection. After
+  /// a Timeout the stream may have been consumed partway through a frame,
+  /// so callers must treat the connection as unusable.
+  virtual IoStatus readBytesFor(uint8_t *Data, size_t Size,
+                                int TimeoutMs) = 0;
 };
 
 /// Decorator that counts bytes crossing any transport — the bridge's
@@ -111,7 +110,6 @@ public:
   explicit CountingTransport(Transport &Inner) : Inner(Inner) {}
 
   bool writeBytes(const uint8_t *Data, size_t Size) override;
-  bool readBytes(uint8_t *Data, size_t Size) override;
   IoStatus readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs) override;
 
   uint64_t bytesSent() const { return BytesSent; }
@@ -132,6 +130,13 @@ enum class RecvStatus : uint8_t {
              ///< the stream is still frame-aligned, so a server may reply
              ///< with an Error message and keep the session alive
 };
+
+/// Payload length announced by the 4-byte u32le prefix at \p Head, or 0
+/// when the prefix is unframeable (0, or over the 1 MiB frame cap): the
+/// next frame boundary cannot be found, so the stream is dead. Every
+/// reader of frames — recvMessageFor and buffered servers alike — applies
+/// this one rule.
+uint32_t decodeFrameLength(const uint8_t *Head);
 
 /// Frames and sends \p M. Returns false on transport failure.
 bool sendMessage(Transport &T, const Message &M);

@@ -8,6 +8,56 @@ using namespace jitml;
 
 ModelBackend::~ModelBackend() = default;
 
+PredictionRequest jitml::takePredictionRequest(Message &M) {
+  PredictionRequest Req;
+  Req.Type = M.Type;
+  if (M.Type == MsgType::Features)
+    Req.Entries.push_back({M.Level, std::move(M.FeatureValues)});
+  else
+    Req.Entries = std::move(M.BatchFeatures);
+  Req.Answers.resize(Req.Entries.size());
+  for (size_t I = 0; I < Req.Entries.size(); ++I)
+    if (Req.Entries[I].FeatureValues.size() != NumFeatures)
+      // A wrong-dimension vector would silently index past the scaling
+      // parameters the model renormalizes with; it is never predicted.
+      Req.Answers[I].What = EntryAnswer::WrongFeatureCount;
+  return Req;
+}
+
+Message jitml::predictionReply(const PredictionRequest &Req) {
+  Message Reply;
+  if (Req.Type == MsgType::Features) {
+    const EntryAnswer &A = Req.Answers.front();
+    if (A.What == EntryAnswer::Modifier) {
+      Reply.Type = MsgType::Modifier;
+      Reply.ModifierBits = A.Bits;
+    } else {
+      Reply.Type = MsgType::Error;
+      Reply.Text = A.What == EntryAnswer::NoModel ? "no model for level"
+                                                  : "feature count mismatch";
+    }
+    return Reply;
+  }
+  Reply.Type = MsgType::ModifierBatch;
+  Reply.BatchModifiers.resize(Req.Answers.size());
+  for (size_t I = 0; I < Req.Answers.size(); ++I)
+    if (Req.Answers[I].What == EntryAnswer::Modifier)
+      Reply.BatchModifiers[I] = {true, Req.Answers[I].Bits};
+  return Reply;
+}
+
+Message jitml::helloReply(const Message &Hello) {
+  Message Reply;
+  if (Hello.Version != ProtocolVersion) {
+    Reply.Type = MsgType::Error;
+    Reply.Text = "unsupported protocol version";
+  } else {
+    Reply.Type = MsgType::Hello;
+    Reply.Version = ProtocolVersion;
+  }
+  return Reply;
+}
+
 ServeStats jitml::serveModel(Transport &T, ModelBackend &Backend) {
   MetricRegistry &R = MetricRegistry::global();
   TelemetryCounter &ServedCtr = R.counter("bridge.served");
@@ -17,85 +67,35 @@ ServeStats jitml::serveModel(Transport &T, ModelBackend &Backend) {
   Message In;
   for (;;) {
     RecvStatus S = recvMessageFor(T, In, /*TimeoutMs=*/-1);
+    Message Reply;
     if (S == RecvStatus::Malformed) {
       // The frame was consumed whole, so the stream is still aligned:
       // report the problem and keep serving instead of dropping the
       // session (and with it every later compilation of this client).
-      Message Reply;
       Reply.Type = MsgType::Error;
       Reply.Text = "malformed frame";
-      if (!sendMessage(T, Reply))
-        return Stats;
-      continue;
-    }
-    if (S != RecvStatus::Ok)
+    } else if (S != RecvStatus::Ok) {
       return Stats; // EOF, broken pipe, or unframeable garbage
-    switch (In.Type) {
-    case MsgType::Hello: {
-      Message Reply;
-      if (In.Version != ProtocolVersion) {
-        // A silent "Version=1" answer to a v2 client would let the session
-        // proceed on a dialect neither side actually speaks; reject it.
+    } else if (In.Type == MsgType::Bye) {
+      return Stats;
+    } else if (In.Type == MsgType::Hello) {
+      Reply = helloReply(In);
+      if (Reply.Type == MsgType::Error) {
         ++Stats.HelloRejects;
         HelloRejectCtr.add();
-        Reply.Type = MsgType::Error;
-        Reply.Text = "unsupported protocol version";
-      } else {
-        Reply.Type = MsgType::Hello;
-        Reply.Version = ProtocolVersion;
       }
-      if (!sendMessage(T, Reply))
-        return Stats;
-      break;
-    }
-    case MsgType::Features: {
-      if (In.FeatureValues.size() != NumFeatures) {
-        // A wrong-dimension vector would silently index past the scaling
-        // parameters the backend renormalizes with; reject it explicitly.
-        Message Reply;
-        Reply.Type = MsgType::Error;
-        Reply.Text = "feature count mismatch";
-        if (!sendMessage(T, Reply))
-          return Stats;
-        break;
-      }
-      std::optional<uint64_t> Bits =
-          Backend.predictModifier(In.Level, In.FeatureValues);
-      Message Reply;
-      if (Bits) {
-        Reply.Type = MsgType::Modifier;
-        Reply.ModifierBits = *Bits;
-        ++Stats.Served;
-        ServedCtr.add();
-      } else {
-        Reply.Type = MsgType::Error;
-        Reply.Text = "no model for level";
-        ++Stats.Degraded;
-        DegradedCtr.add();
-      }
-      if (!sendMessage(T, Reply))
-        return Stats;
-      break;
-    }
-    case MsgType::FeatureBatch: {
-      // One reply entry per request entry, in order. A bad entry (wrong
-      // feature count) or an uncovered level degrades that entry alone to
-      // has=0; the rest of the batch still gets real predictions.
-      Message Reply;
-      Reply.Type = MsgType::ModifierBatch;
-      Reply.BatchModifiers.resize(In.BatchFeatures.size());
-      for (size_t I = 0; I < In.BatchFeatures.size(); ++I) {
-        const BatchFeatureEntry &E = In.BatchFeatures[I];
-        if (E.FeatureValues.size() != NumFeatures) {
-          ++Stats.Degraded; // HasModifier stays false
-          DegradedCtr.add();
-          continue;
-        }
-        std::optional<uint64_t> Bits =
-            Backend.predictModifier(E.Level, E.FeatureValues);
-        if (Bits) {
-          Reply.BatchModifiers[I].HasModifier = true;
-          Reply.BatchModifiers[I].Bits = *Bits;
+    } else if (In.Type == MsgType::Features ||
+               In.Type == MsgType::FeatureBatch) {
+      // One answer per entry: a bad entry degrades alone, the rest of a
+      // batch still gets real predictions.
+      PredictionRequest Req = takePredictionRequest(In);
+      for (size_t I = 0; I < Req.Entries.size(); ++I) {
+        EntryAnswer &A = Req.Answers[I];
+        if (A.What != EntryAnswer::WrongFeatureCount)
+          if (std::optional<uint64_t> Bits = Backend.predictModifier(
+                  Req.Entries[I].Level, Req.Entries[I].FeatureValues))
+            A = {EntryAnswer::Modifier, *Bits};
+        if (A.What == EntryAnswer::Modifier) {
           ++Stats.Served;
           ServedCtr.add();
         } else {
@@ -103,54 +103,12 @@ ServeStats jitml::serveModel(Transport &T, ModelBackend &Backend) {
           DegradedCtr.add();
         }
       }
-      if (!sendMessage(T, Reply))
-        return Stats;
-      break;
-    }
-    case MsgType::Bye:
-      return Stats;
-    default: {
-      Message Reply;
+      Reply = predictionReply(Req);
+    } else {
       Reply.Type = MsgType::Error;
       Reply.Text = "unexpected message";
-      if (!sendMessage(T, Reply))
-        return Stats;
-      break;
     }
-    }
+    if (!sendMessage(T, Reply))
+      return Stats;
   }
-  return Stats;
-}
-
-bool ModelClient::hello() {
-  Message M;
-  M.Type = MsgType::Hello;
-  M.Version = ProtocolVersion;
-  if (!sendMessage(T, M))
-    return false;
-  Message Reply;
-  return recvMessage(T, Reply) && Reply.Type == MsgType::Hello &&
-         Reply.Version == ProtocolVersion;
-}
-
-std::optional<uint64_t>
-ModelClient::requestModifier(OptLevel Level, const FeatureVector &Features) {
-  Message M;
-  M.Type = MsgType::Features;
-  M.Level = Level;
-  M.FeatureValues.reserve(NumFeatures);
-  for (unsigned I = 0; I < NumFeatures; ++I)
-    M.FeatureValues.push_back((double)Features.get(I));
-  if (!sendMessage(T, M))
-    return std::nullopt;
-  Message Reply;
-  if (!recvMessage(T, Reply) || Reply.Type != MsgType::Modifier)
-    return std::nullopt;
-  return Reply.ModifierBits;
-}
-
-void ModelClient::bye() {
-  Message M;
-  M.Type = MsgType::Bye;
-  sendMessage(T, M);
 }

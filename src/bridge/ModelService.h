@@ -1,14 +1,19 @@
-//===- bridge/ModelService.h - Model server and compiler client -*- C++ -*-===//
+//===- bridge/ModelService.h - Model backend and server ---------*- C++ -*-===//
 ///
 /// \file
-/// The two endpoints of Figure 5's compiler/model integration:
+/// The model side of Figure 5's compiler/model integration:
 ///
-///  * ModelServer — wraps a prediction backend and answers Features
-///    requests with Modifier replies until Bye/EOF. The backend interface
-///    is what makes models swappable "without changes to the compiler".
-///  * ModelClient — the Strategy Control side: ships the raw feature
-///    vector and the selected optimization level, gets back the 58-bit
-///    modifier to install.
+///  * ModelBackend — the prediction interface that makes models swappable
+///    "without changes to the compiler";
+///  * serveModel — answers one connection's frames from a backend (the
+///    server for the FIFO and in-process transports; the multi-client
+///    daemon in src/serve serves sockets);
+///  * the request/reply helpers both servers share, so each protocol
+///    decision is coded once: a Features frame is a FeatureBatch of one,
+///    each entry is answered on its own, and only the reply encoding
+///    tells the two shapes apart.
+///
+/// The compiler side is ResilientModelClient (bridge/ResilientClient.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,42 +37,59 @@ public:
   predictModifier(OptLevel Level, const std::vector<double> &RawFeatures) = 0;
 };
 
+/// How one prediction entry of a request was answered.
+struct EntryAnswer {
+  enum Kind : uint8_t {
+    Modifier,          ///< Bits is the modifier to install
+    NoModel,           ///< no model covers the entry's level
+    WrongFeatureCount, ///< the entry does not carry NumFeatures values
+  };
+  Kind What = NoModel;
+  uint64_t Bits = 0; ///< valid when What == Modifier
+};
+
+/// A Features or FeatureBatch frame as its list of prediction entries — a
+/// Features frame is a batch of one.
+struct PredictionRequest {
+  MsgType Type = MsgType::Features; ///< picks the reply's encoding
+  std::vector<BatchFeatureEntry> Entries;
+  /// One per entry. An entry with the wrong feature count starts (and
+  /// stays) WrongFeatureCount; the others start NoModel until a model
+  /// answers them.
+  std::vector<EntryAnswer> Answers;
+};
+
+/// Moves the entries of a Features or FeatureBatch frame out of \p M.
+PredictionRequest takePredictionRequest(Message &M);
+
+/// Encodes \p Req's answers as the reply to its frame. A Features frame
+/// gets Modifier, Error "no model for level" or Error "feature count
+/// mismatch"; a FeatureBatch gets one ModifierBatch entry per request
+/// entry, in order, has=0 for every entry without a modifier.
+Message predictionReply(const PredictionRequest &Req);
+
+/// The reply to a Hello frame: Hello(ProtocolVersion), or Error when the
+/// client announces another version — a silent answer would let the
+/// session proceed on a dialect neither side speaks.
+Message helloReply(const Message &Hello);
+
 /// What one serveModel session answered, broken down by outcome — a
 /// Modifier reply is not the same thing as an Error reply ("no model for
 /// level"), and callers sizing a deployment need to see the difference.
 struct ServeStats {
-  uint64_t Served = 0;       ///< Features answered with a real Modifier
-  uint64_t Degraded = 0;     ///< Features answered with Error / has=0
+  uint64_t Served = 0;       ///< entries answered with a real modifier
+  uint64_t Degraded = 0;     ///< entries answered with Error / has=0
   uint64_t HelloRejects = 0; ///< Hello frames with a mismatched version
 
   uint64_t answered() const { return Served + Degraded; }
 };
 
-/// Serves one connection: replies to Hello and Features, stops on Bye or
-/// transport EOF. Hello frames announcing a protocol version other than
-/// ProtocolVersion are rejected with an Error reply. The stats are also
-/// mirrored process-wide as bridge.served / bridge.degraded /
-/// bridge.hello_rejects counters.
+/// Serves one connection: replies to Hello, Features and FeatureBatch,
+/// stops on Bye or transport EOF. Hello frames announcing a protocol
+/// version other than ProtocolVersion are rejected with an Error reply.
+/// The stats are also mirrored process-wide as bridge.served /
+/// bridge.degraded / bridge.hello_rejects counters.
 ServeStats serveModel(Transport &T, ModelBackend &Backend);
-
-class ModelClient {
-public:
-  explicit ModelClient(Transport &T) : T(T) {}
-
-  /// Performs the Hello handshake; false on protocol mismatch.
-  bool hello();
-
-  /// Requests a modifier for (Level, Features). std::nullopt on transport
-  /// failure or a server-side Error reply.
-  std::optional<uint64_t> requestModifier(OptLevel Level,
-                                          const FeatureVector &Features);
-
-  /// Polite shutdown.
-  void bye();
-
-private:
-  Transport &T;
-};
 
 } // namespace jitml
 

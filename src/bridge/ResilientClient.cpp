@@ -119,7 +119,7 @@ bool ResilientModelClient::ensureConnected() {
   if (!HandshakeDone) {
     Message Hello;
     Hello.Type = MsgType::Hello;
-    Hello.Version = 1;
+    Hello.Version = ProtocolVersion;
     if (!sendMessage(*Wire, Hello)) {
       dropConnection();
       return false;
@@ -127,7 +127,7 @@ bool ResilientModelClient::ensureConnected() {
     Message Reply;
     RecvStatus S = recvMessageFor(*Wire, Reply, Cfg.RequestTimeoutMs);
     if (S != RecvStatus::Ok || Reply.Type != MsgType::Hello ||
-        Reply.Version != 1) {
+        Reply.Version != ProtocolVersion) {
       if (S == RecvStatus::Timeout) {
         ++Count.Timeouts;
         Tel.Timeouts->add();
@@ -140,15 +140,27 @@ bool ResilientModelClient::ensureConnected() {
   return true;
 }
 
-bool ResilientModelClient::tryOnce(OptLevel Level,
-                                   const FeatureVector &Features,
-                                   std::optional<uint64_t> &Answer) {
+bool ResilientModelClient::tryOnce(MsgType Type, const BatchRequest *Items,
+                                   const size_t *Chunk, size_t NumItems,
+                                   std::optional<uint64_t> *Answers) {
+  auto RawValues = [](const FeatureVector &F) {
+    std::vector<double> V;
+    V.reserve(NumFeatures);
+    for (unsigned I = 0; I < NumFeatures; ++I)
+      V.push_back((double)F.get(I));
+    return V;
+  };
   Message M;
-  M.Type = MsgType::Features;
-  M.Level = Level;
-  M.FeatureValues.reserve(NumFeatures);
-  for (unsigned I = 0; I < NumFeatures; ++I)
-    M.FeatureValues.push_back((double)Features.get(I));
+  M.Type = Type;
+  if (Type == MsgType::Features) {
+    M.Level = Items[Chunk[0]].Level;
+    M.FeatureValues = RawValues(Items[Chunk[0]].Features);
+  } else {
+    M.BatchFeatures.reserve(NumItems);
+    for (size_t I = 0; I < NumItems; ++I)
+      M.BatchFeatures.push_back(
+          {Items[Chunk[I]].Level, RawValues(Items[Chunk[I]].Features)});
+  }
   ++Count.WireRequests;
   Tel.WireRequests->add();
   if (!sendMessage(*Wire, M)) {
@@ -169,18 +181,27 @@ bool ResilientModelClient::tryOnce(OptLevel Level,
     dropConnection();
     return false;
   }
-  if (Reply.Type == MsgType::Modifier) {
-    Answer = Reply.ModifierBits;
-    return true;
-  }
   if (Reply.Type == MsgType::Error) {
+    // Definitive server-side refusal: every item falls back.
     ++Count.ErrorReplies;
     Tel.ErrorReplies->add();
-    Answer = std::nullopt; // definitive "no model" answer
     return true;
   }
-  // A reply that is neither Modifier nor Error means the peer is not
-  // speaking our dialect; stop trusting the connection.
+  if (Type == MsgType::Features && Reply.Type == MsgType::Modifier) {
+    Answers[Chunk[0]] = Reply.ModifierBits;
+    return true;
+  }
+  if (Type == MsgType::FeatureBatch && Reply.Type == MsgType::ModifierBatch &&
+      Reply.BatchModifiers.size() == NumItems) {
+    for (size_t I = 0; I < NumItems; ++I) {
+      const BatchModifierEntry &E = Reply.BatchModifiers[I];
+      if (E.HasModifier)
+        Answers[Chunk[I]] = E.Bits;
+    }
+    return true;
+  }
+  // Wrong reply type or entry count: the peer is not speaking our
+  // dialect; stop trusting the connection.
   dropConnection();
   return false;
 }
@@ -203,7 +224,9 @@ ResilientModelClient::requestModifier(OptLevel Level,
                                       const FeatureVector &Features) {
   std::lock_guard<std::mutex> Lock(Mu);
   uint64_t StartUs = telemetryNowUs();
-  std::optional<uint64_t> Answer = requestModifierLocked(Level, Features);
+  BatchRequest Item{Level, Features};
+  std::optional<uint64_t> Answer;
+  requestLocked(MsgType::Features, &Item, 1, &Answer);
   uint64_t DurUs = telemetryNowUs() - StartUs;
   Tel.RequestUs->record(DurUs);
   if (TraceEmitter::global().enabled()) {
@@ -219,109 +242,6 @@ ResilientModelClient::requestModifier(OptLevel Level,
   return Answer;
 }
 
-std::optional<uint64_t>
-ResilientModelClient::requestModifierLocked(OptLevel Level,
-                                            const FeatureVector &Features) {
-  ++Count.Requests;
-  Tel.Requests->add();
-  uint64_t Key = cacheKey(Level, Features.hash());
-  if (Cfg.CacheCapacity != 0) {
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      ++Count.CacheHits;
-      Tel.CacheHits->add();
-      if (!It->second)
-        ++Count.Fallbacks, Tel.Fallbacks->add();
-      return It->second;
-    }
-  }
-
-  // Forced fallback: behave exactly as if every attempt failed, without
-  // touching the wire — the caller must degrade to the default plan.
-  if (JITML_FAULT_POINT("client.request.fallback")) {
-    ++Count.Fallbacks, Tel.Fallbacks->add();
-    return std::nullopt;
-  }
-
-  double Backoff = (double)Cfg.InitialBackoffMs;
-  for (unsigned Attempt = 0; Attempt < Cfg.MaxAttempts; ++Attempt) {
-    if (Attempt > 0) {
-      if (Poisoned)
-        break; // no way back: don't burn time sleeping
-      ++Count.Retries;
-      Tel.Retries->add();
-      if (Backoff >= 1.0 && Sleep)
-        Sleep((int)Backoff);
-      Backoff *= Cfg.BackoffMultiplier;
-    }
-    if (!ensureConnected())
-      continue;
-    std::optional<uint64_t> Answer;
-    if (tryOnce(Level, Features, Answer)) {
-      cacheInsert(Key, Answer);
-      if (!Answer)
-        ++Count.Fallbacks, Tel.Fallbacks->add();
-      return Answer;
-    }
-  }
-  ++Count.Fallbacks, Tel.Fallbacks->add();
-  return std::nullopt;
-}
-
-bool ResilientModelClient::tryBatchOnce(
-    const std::vector<BatchRequest> &Items, const std::vector<size_t> &Misses,
-    std::vector<std::optional<uint64_t>> &Answers) {
-  Message M;
-  M.Type = MsgType::FeatureBatch;
-  M.BatchFeatures.resize(Misses.size());
-  for (size_t I = 0; I < Misses.size(); ++I) {
-    BatchFeatureEntry &E = M.BatchFeatures[I];
-    E.Level = Items[Misses[I]].Level;
-    E.FeatureValues.reserve(NumFeatures);
-    for (unsigned F = 0; F < NumFeatures; ++F)
-      E.FeatureValues.push_back((double)Items[Misses[I]].Features.get(F));
-  }
-  ++Count.WireRequests;
-  Tel.WireRequests->add();
-  if (!sendMessage(*Wire, M)) {
-    dropConnection();
-    return false;
-  }
-  Message Reply;
-  RecvStatus S = JITML_FAULT_POINT("client.request.timeout")
-                     ? RecvStatus::Timeout
-                     : recvMessageFor(*Wire, Reply, Cfg.RequestTimeoutMs);
-  if (S == RecvStatus::Timeout) {
-    ++Count.Timeouts;
-    Tel.Timeouts->add();
-    dropConnection(); // the stream may be mid-frame: unusable
-    return false;
-  }
-  if (S != RecvStatus::Ok) {
-    dropConnection();
-    return false;
-  }
-  if (Reply.Type == MsgType::ModifierBatch &&
-      Reply.BatchModifiers.size() == Misses.size()) {
-    for (size_t I = 0; I < Misses.size(); ++I) {
-      const BatchModifierEntry &E = Reply.BatchModifiers[I];
-      Answers[Misses[I]] =
-          E.HasModifier ? std::optional<uint64_t>(E.Bits) : std::nullopt;
-    }
-    return true;
-  }
-  if (Reply.Type == MsgType::Error) {
-    // Definitive server-side refusal: every entry falls back.
-    ++Count.ErrorReplies;
-    Tel.ErrorReplies->add();
-    return true;
-  }
-  // Wrong reply type or wrong entry count: the peer is not speaking our
-  // dialect; stop trusting the connection.
-  dropConnection();
-  return false;
-}
-
 std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
     const std::vector<BatchRequest> &Items) {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -329,11 +249,28 @@ std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
   ++Count.BatchRequests;
   Count.BatchItems += Items.size();
   std::vector<std::optional<uint64_t>> Answers(Items.size());
+  requestLocked(MsgType::FeatureBatch, Items.data(), Items.size(),
+                Answers.data());
+  uint64_t DurUs = telemetryNowUs() - StartUs;
+  Tel.BatchUs->record(DurUs);
+  if (TraceEmitter::global().enabled()) {
+    TraceEvent E;
+    E.Stage = "bridge_batch";
+    E.StartUs = StartUs;
+    E.DurUs = DurUs;
+    E.Items = (int64_t)Items.size();
+    TraceEmitter::global().record(E);
+  }
+  return Answers;
+}
 
+void ResilientModelClient::requestLocked(MsgType Type,
+                                         const BatchRequest *Items, size_t N,
+                                         std::optional<uint64_t> *Answers) {
   // Answer what we can from the prediction cache; collect the misses.
   std::vector<size_t> Misses;
-  std::vector<uint64_t> Keys(Items.size());
-  for (size_t I = 0; I < Items.size(); ++I) {
+  std::vector<uint64_t> Keys(N);
+  for (size_t I = 0; I < N; ++I) {
     ++Count.Requests;
     Tel.Requests->add();
     Keys[I] = cacheKey(Items[I].Level, Items[I].Features.hash());
@@ -356,53 +293,40 @@ std::vector<std::optional<uint64_t>> ResilientModelClient::requestModifierBatch(
   if (!Misses.empty() && JITML_FAULT_POINT("client.request.fallback")) {
     Count.Fallbacks += Misses.size();
     Tel.Fallbacks->add(Misses.size());
-    Misses.clear();
+    return;
   }
 
-  // Ship the misses in protocol-sized chunks, each with the single-request
+  // Ship the misses in protocol-sized chunks, each with its own
   // retry/backoff budget.
   for (size_t Start = 0; Start < Misses.size(); Start += MaxBatchEntries) {
-    std::vector<size_t> Chunk(
-        Misses.begin() + (std::ptrdiff_t)Start,
-        Misses.begin() +
-            (std::ptrdiff_t)std::min(Start + MaxBatchEntries, Misses.size()));
+    const size_t *Chunk = Misses.data() + Start;
+    size_t NumItems = std::min(MaxBatchEntries, Misses.size() - Start);
     bool Answered = false;
     double Backoff = (double)Cfg.InitialBackoffMs;
     for (unsigned Attempt = 0; Attempt < Cfg.MaxAttempts; ++Attempt) {
       if (Attempt > 0) {
         if (Poisoned)
-          break;
+          break; // no way back: don't burn time sleeping
         ++Count.Retries;
-      Tel.Retries->add();
+        Tel.Retries->add();
         if (Backoff >= 1.0 && Sleep)
           Sleep((int)Backoff);
         Backoff *= Cfg.BackoffMultiplier;
       }
       if (!ensureConnected())
         continue;
-      if (tryBatchOnce(Items, Chunk, Answers)) {
+      if (tryOnce(Type, Items, Chunk, NumItems, Answers)) {
         Answered = true;
         break;
       }
     }
-    for (size_t I : Chunk) {
+    for (size_t I = 0; I < NumItems; ++I) {
       if (Answered)
-        cacheInsert(Keys[I], Answers[I]);
-      if (!Answers[I])
+        cacheInsert(Keys[Chunk[I]], Answers[Chunk[I]]);
+      if (!Answers[Chunk[I]])
         ++Count.Fallbacks, Tel.Fallbacks->add();
     }
   }
-  uint64_t DurUs = telemetryNowUs() - StartUs;
-  Tel.BatchUs->record(DurUs);
-  if (TraceEmitter::global().enabled()) {
-    TraceEvent E;
-    E.Stage = "bridge_batch";
-    E.StartUs = StartUs;
-    E.DurUs = DurUs;
-    E.Items = (int64_t)Items.size();
-    TraceEmitter::global().record(E);
-  }
-  return Answers;
 }
 
 void ResilientModelClient::bye() {

@@ -1,9 +1,9 @@
 //===- bridge/ResilientClient.h - Hardened model client ---------*- C++ -*-===//
 ///
 /// \file
-/// Production wrapper around the bridge protocol's client side. The plain
-/// ModelClient blocks forever on a slow or dead model service; in a JIT
-/// that means a hung compilation. This client adds:
+/// The compiler side of the bridge protocol (the paper's Strategy Control
+/// asking the model for a modifier). A client that blocked forever on a
+/// slow or dead model service would hang compilations, so this one has:
 ///
 ///  * a per-request deadline (the whole round trip, not per syscall),
 ///  * bounded retry with exponential backoff over a reconnectable
@@ -146,17 +146,17 @@ private:
   void resolveTelemetry();
   bool ensureConnected();
   void dropConnection();
-  /// One wire round trip. Returns true when a definitive answer arrived
-  /// (Modifier or Error reply); false means the connection failed and was
-  /// dropped.
-  bool tryOnce(OptLevel Level, const FeatureVector &Features,
-               std::optional<uint64_t> &Answer);
-  /// One FeatureBatch round trip for \p Misses (indices into Items).
-  bool tryBatchOnce(const std::vector<BatchRequest> &Items,
-                    const std::vector<size_t> &Misses,
-                    std::vector<std::optional<uint64_t>> &Answers);
-  std::optional<uint64_t> requestModifierLocked(OptLevel Level,
-                                                const FeatureVector &Features);
+  /// The one request path behind requestModifier (\p Type Features, one
+  /// item) and requestModifierBatch (FeatureBatch): cache lookups, then
+  /// the misses in MaxBatchEntries chunks, each with the retry/backoff
+  /// budget. Fills \p Answers (one per item, nullopt = fall back).
+  void requestLocked(MsgType Type, const BatchRequest *Items, size_t N,
+                     std::optional<uint64_t> *Answers);
+  /// One wire round trip for the items indexed by \p Chunk[0..NumItems).
+  /// Returns true when a definitive answer arrived (a modifier reply or an
+  /// Error); false means the connection failed and was dropped.
+  bool tryOnce(MsgType Type, const BatchRequest *Items, const size_t *Chunk,
+               size_t NumItems, std::optional<uint64_t> *Answers);
   void cacheInsert(uint64_t Key, std::optional<uint64_t> Answer);
 
   /// Process-wide metrics mirroring the hot BridgeCounters fields, plus

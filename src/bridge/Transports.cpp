@@ -17,16 +17,54 @@
 
 using namespace jitml;
 
+/// The one descriptor read loop behind the FIFO and socket transports:
+/// reads exactly \p Size bytes, polling first while a deadline is set
+/// (\p TimeoutMs >= 0 bounds the whole read). \p FifoEintr evaluates the
+/// FIFO's simulated-EINTR point once per iteration; use a p/n schedule,
+/// since an 'always' rule would spin this loop forever.
+static IoStatus readFd(int Fd, uint8_t *Data, size_t Size, int TimeoutMs,
+                       bool FifoEintr) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point Deadline;
+  if (TimeoutMs >= 0)
+    Deadline = Clock::now() + std::chrono::milliseconds(TimeoutMs);
+  size_t Done = 0;
+  while (Done < Size) {
+    if (FifoEintr && JITML_FAULT_POINT("transport.fifo.eintr"))
+      continue; // simulated EINTR: retry the iteration without progress
+    if (TimeoutMs >= 0) {
+      auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          Deadline - Clock::now());
+      struct pollfd Pfd = {Fd, POLLIN, 0};
+      int R = ::poll(&Pfd, 1, Left.count() > 0 ? (int)Left.count() : 0);
+      if (R < 0) {
+        if (errno == EINTR)
+          continue;
+        return IoStatus::Closed;
+      }
+      if (R == 0)
+        return IoStatus::Timeout;
+    }
+    // POLLHUP may still have buffered bytes to drain; let read() decide.
+    ssize_t N = ::read(Fd, Data + Done, Size - Done);
+    if (N < 0) {
+      if (errno == EINTR || errno == EAGAIN)
+        continue; // interrupted syscall, not a dead peer
+      return IoStatus::Closed;
+    }
+    if (N == 0)
+      return IoStatus::Closed; // EOF: the writer closed its end
+    Done += (size_t)N;
+  }
+  return IoStatus::Ok;
+}
+
 void ByteQueue::push(const uint8_t *Data, size_t Size) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Bytes.insert(Bytes.end(), Data, Data + Size);
   }
   Cv.notify_all();
-}
-
-bool ByteQueue::pop(uint8_t *Data, size_t Size) {
-  return popFor(Data, Size, /*TimeoutMs=*/-1) == IoStatus::Ok;
 }
 
 IoStatus ByteQueue::popFor(uint8_t *Data, size_t Size, int TimeoutMs) {
@@ -63,16 +101,10 @@ bool InProcessPipe::writeBytes(const uint8_t *Data, size_t Size) {
   return true;
 }
 
-bool InProcessPipe::readBytes(uint8_t *Data, size_t Size) {
-  if (JITML_FAULT_POINT("transport.read.short"))
-    return false; // simulated short read / peer hangup
-  return In->pop(Data, Size);
-}
-
 IoStatus InProcessPipe::readBytesFor(uint8_t *Data, size_t Size,
                                      int TimeoutMs) {
   if (JITML_FAULT_POINT("transport.read.short"))
-    return IoStatus::Closed;
+    return IoStatus::Closed; // simulated short read / peer hangup
   if (JITML_FAULT_POINT("transport.read.timeout"))
     return IoStatus::Timeout; // reply never arrives within the deadline
   uint64_t DelayMs = 10;
@@ -165,59 +197,9 @@ bool FifoTransport::writeBytes(const uint8_t *Data, size_t Size) {
   return true;
 }
 
-bool FifoTransport::readBytes(uint8_t *Data, size_t Size) {
-  size_t Done = 0;
-  while (Done < Size) {
-    if (JITML_FAULT_POINT("transport.fifo.eintr"))
-      continue; // see writeBytes: simulated EINTR retry
-    ssize_t N = ::read(ReadFd, Data + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue; // interrupted syscall, not a dead pipe
-      return false;
-    }
-    if (N == 0)
-      return false; // EOF: writer closed its end
-    Done += (size_t)N;
-  }
-  return true;
-}
-
 IoStatus FifoTransport::readBytesFor(uint8_t *Data, size_t Size,
                                      int TimeoutMs) {
-  if (TimeoutMs < 0)
-    return readBytes(Data, Size) ? IoStatus::Ok : IoStatus::Closed;
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Deadline =
-      Clock::now() + std::chrono::milliseconds(TimeoutMs);
-  size_t Done = 0;
-  while (Done < Size) {
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        Deadline - Clock::now());
-    int Wait = Left.count() > 0 ? (int)Left.count() : 0;
-    if (JITML_FAULT_POINT("transport.fifo.eintr"))
-      continue; // see writeBytes: simulated EINTR retry
-    struct pollfd Pfd = {ReadFd, POLLIN, 0};
-    int R = ::poll(&Pfd, 1, Wait);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      return IoStatus::Closed;
-    }
-    if (R == 0)
-      return IoStatus::Timeout;
-    // POLLHUP may still have buffered bytes to drain; let read() decide.
-    ssize_t N = ::read(ReadFd, Data + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR || errno == EAGAIN)
-        continue;
-      return IoStatus::Closed;
-    }
-    if (N == 0)
-      return IoStatus::Closed; // EOF
-    Done += (size_t)N;
-  }
-  return IoStatus::Ok;
+  return readFd(ReadFd, Data, Size, TimeoutMs, /*FifoEintr=*/true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,64 +262,16 @@ bool SocketTransport::writeBytes(const uint8_t *Data, size_t Size) {
   return true;
 }
 
-bool SocketTransport::readBytes(uint8_t *Data, size_t Size) {
-  if (JITML_FAULT_POINT("transport.read.short"))
-    return false; // simulated short read / peer hangup
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::read(Fd, Data + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    if (N == 0)
-      return false; // EOF: peer closed
-    Done += (size_t)N;
-  }
-  return true;
-}
-
 IoStatus SocketTransport::readBytesFor(uint8_t *Data, size_t Size,
                                        int TimeoutMs) {
   if (JITML_FAULT_POINT("transport.read.short"))
-    return IoStatus::Closed;
+    return IoStatus::Closed; // simulated short read / peer hangup
   if (JITML_FAULT_POINT("transport.read.timeout"))
     return IoStatus::Timeout; // reply never arrives within the deadline
   uint64_t DelayMs = 10;
   if (JITML_FAULT_POINT_ARG("transport.read.delay", DelayMs))
     faultDelayMs(DelayMs); // slow peer: data arrives, but late
-  if (TimeoutMs < 0)
-    return readBytes(Data, Size) ? IoStatus::Ok : IoStatus::Closed;
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Deadline =
-      Clock::now() + std::chrono::milliseconds(TimeoutMs);
-  size_t Done = 0;
-  while (Done < Size) {
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        Deadline - Clock::now());
-    int Wait = Left.count() > 0 ? (int)Left.count() : 0;
-    struct pollfd Pfd = {Fd, POLLIN, 0};
-    int R = ::poll(&Pfd, 1, Wait);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      return IoStatus::Closed;
-    }
-    if (R == 0)
-      return IoStatus::Timeout;
-    // POLLHUP may still have buffered bytes to drain; let read() decide.
-    ssize_t N = ::read(Fd, Data + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR || errno == EAGAIN)
-        continue;
-      return IoStatus::Closed;
-    }
-    if (N == 0)
-      return IoStatus::Closed; // EOF
-    Done += (size_t)N;
-  }
-  return IoStatus::Ok;
+  return readFd(Fd, Data, Size, TimeoutMs, /*FifoEintr=*/false);
 }
 
 ssize_t SocketTransport::readSome(uint8_t *Data, size_t Cap) {

@@ -1,7 +1,7 @@
 //===- bridge/Transports.h - In-process and named-pipe transports -*-C++-*-===//
 ///
 /// \file
-/// Two Transport implementations:
+/// Three Transport implementations:
 ///
 ///  * InProcessPipe — a thread-safe byte queue pair for deterministic
 ///    tests and for running the model "service" on a thread inside the
@@ -15,6 +15,9 @@
 ///    FIFO pair, one listening socket accepts any number of concurrent
 ///    clients, which is what the multi-client serving daemon (src/serve)
 ///    is built on. The framed Message protocol is unchanged.
+///
+/// The FIFO and the socket read through one poll(2)/read(2) loop over a
+/// descriptor; each keeps its own fault points around it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +38,9 @@ namespace jitml {
 class ByteQueue {
 public:
   void push(const uint8_t *Data, size_t Size);
-  /// Blocks until \p Size bytes are available or the queue is closed.
-  bool pop(uint8_t *Data, size_t Size);
-  /// Like pop, but gives up after \p TimeoutMs milliseconds (negative =
-  /// wait forever). On Timeout no bytes are consumed.
+  /// Takes \p Size bytes once that many are queued, giving up after
+  /// \p TimeoutMs milliseconds (negative = wait forever). On Timeout no
+  /// bytes are consumed; Closed when the queue closed short of \p Size.
   IoStatus popFor(uint8_t *Data, size_t Size, int TimeoutMs);
   void close();
 
@@ -57,7 +59,6 @@ public:
   ~InProcessPipe() override;
 
   bool writeBytes(const uint8_t *Data, size_t Size) override;
-  bool readBytes(uint8_t *Data, size_t Size) override;
   IoStatus readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs) override;
   void close();
 
@@ -89,7 +90,6 @@ public:
        bool IsServer);
 
   bool writeBytes(const uint8_t *Data, size_t Size) override;
-  bool readBytes(uint8_t *Data, size_t Size) override;
   /// poll(2)-based deadline; a Timeout may leave a partially-consumed
   /// frame in the pipe, so the connection must be abandoned afterwards.
   IoStatus readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs) override;
@@ -114,7 +114,6 @@ public:
   static std::unique_ptr<SocketTransport> connect(const std::string &Path);
 
   bool writeBytes(const uint8_t *Data, size_t Size) override;
-  bool readBytes(uint8_t *Data, size_t Size) override;
   /// poll(2)-based deadline; a Timeout may leave a partially-consumed
   /// frame in the stream, so the connection must be abandoned afterwards.
   IoStatus readBytesFor(uint8_t *Data, size_t Size, int TimeoutMs) override;

@@ -38,8 +38,7 @@ struct ModelServer::Connection {
   // The one request being answered asynchronously (clients are strictly
   // request/reply, so there is at most one).
   bool Busy = false;
-  bool IsBatch = false;
-  Message Reply;                   ///< assembled reply (batch: prefilled)
+  PredictionRequest Request;       ///< its entries and answers so far
   size_t Remaining = 0;            ///< batcher results still missing
   uint64_t ReqStartUs = 0;
 
@@ -171,15 +170,6 @@ ModelServer::Stats ModelServer::stats() const {
 
 namespace {
 
-uint32_t readLe32(const uint8_t *P) {
-  return (uint32_t)P[0] | ((uint32_t)P[1] << 8) | ((uint32_t)P[2] << 16) |
-         ((uint32_t)P[3] << 24);
-}
-
-/// Largest frame the reassembler will buffer — same 1 MiB cap
-/// recvMessageFor enforces; a larger prefix is unframeable garbage.
-constexpr uint32_t MaxFrameBytes = 1u << 20;
-
 FeatureVector toFeatureVector(const std::vector<double> &Raw) {
   FeatureVector FV;
   for (unsigned J = 0; J < NumFeatures; ++J)
@@ -204,10 +194,10 @@ void ModelServer::loop() {
   };
 
   auto FinishRequest = [&](Connection &C) {
-    int64_t Items = C.IsBatch ? (int64_t)C.Reply.BatchModifiers.size() : 1;
-    WriteMessage(C, C.Reply);
+    int64_t Items = (int64_t)C.Request.Answers.size();
+    WriteMessage(C, predictionReply(C.Request));
     C.Busy = false;
-    C.Reply = Message();
+    C.Request = PredictionRequest();
     uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
     I->RequestUs->record(DurUs);
     if (TraceEmitter::global().enabled()) {
@@ -252,15 +242,10 @@ void ModelServer::loop() {
   auto HandleFrame = [&](Connection &C, Message &M) {
     switch (M.Type) {
     case MsgType::Hello: {
-      Message Reply;
-      if (M.Version != ProtocolVersion) {
+      Message Reply = helloReply(M);
+      if (Reply.Type == MsgType::Error) {
         I->HelloRejects.fetch_add(1, std::memory_order_relaxed);
         I->HelloRejectsCtr->add();
-        Reply.Type = MsgType::Error;
-        Reply.Text = "unsupported protocol version";
-      } else {
-        Reply.Type = MsgType::Hello;
-        Reply.Version = ProtocolVersion;
       }
       WriteMessage(C, Reply);
       break;
@@ -269,92 +254,41 @@ void ModelServer::loop() {
       C.PeerClosed = true;
       C.Pending.clear();
       break;
-    case MsgType::Features: {
-      I->Requests.fetch_add(1, std::memory_order_relaxed);
-      I->Entries.fetch_add(1, std::memory_order_relaxed);
-      I->RequestsCtr->add();
-      C.ReqStartUs = telemetryNowUs();
-      if (M.FeatureValues.size() != NumFeatures) {
-        Message Reply;
-        Reply.Type = MsgType::Error;
-        Reply.Text = "feature count mismatch";
-        CountAnswer(false);
-        WriteMessage(C, Reply);
-        break;
-      }
-      if (MustShed(1)) {
-        ShedFrame(C, 1);
-        break;
-      }
-      FeatureVector FV = toFeatureVector(M.FeatureValues);
-      uint64_t Hash = FV.hash();
-      uint64_t Version = Registry.version();
-      std::optional<uint64_t> Answer;
-      if (Cfg.CacheCapacity &&
-          Cache.lookup(Version, M.Level, Hash, Answer)) {
-        I->CacheHits.fetch_add(1, std::memory_order_relaxed);
-        Message Reply;
-        if (Answer) {
-          Reply.Type = MsgType::Modifier;
-          Reply.ModifierBits = *Answer;
-        } else {
-          Reply.Type = MsgType::Error;
-          Reply.Text = "no model for level";
-        }
-        CountAnswer(Answer.has_value());
-        WriteMessage(C, Reply);
-        uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
-        I->RequestUs->record(DurUs);
-        break;
-      }
-      C.Busy = true;
-      C.IsBatch = false;
-      C.Remaining = 1;
-      C.Reply = Message();
-      InflightEntries.fetch_add(1, std::memory_order_relaxed);
-      I->InflightGauge->set(
-          (int64_t)InflightEntries.load(std::memory_order_relaxed));
-      PredictRequest R;
-      R.ConnId = C.Id;
-      R.Tag = 0;
-      R.Level = M.Level;
-      R.Features = FV;
-      R.FeatureHash = Hash;
-      R.AdmitUs = C.ReqStartUs;
-      Batcher->push(std::move(R));
-      break;
-    }
+    case MsgType::Features:
     case MsgType::FeatureBatch: {
+      // One per-entry path for both shapes: a Features frame is a batch
+      // of one. Admission covers the whole frame; then each entry is
+      // degraded (wrong feature count), answered from the cache, or sent
+      // to the batcher.
+      PredictionRequest Req = takePredictionRequest(M);
+      size_t N = Req.Entries.size();
       I->Requests.fetch_add(1, std::memory_order_relaxed);
-      I->BatchRequests.fetch_add(1, std::memory_order_relaxed);
-      I->Entries.fetch_add(M.BatchFeatures.size(), std::memory_order_relaxed);
+      I->BatchRequests.fetch_add(Req.Type == MsgType::FeatureBatch,
+                                 std::memory_order_relaxed);
+      I->Entries.fetch_add(N, std::memory_order_relaxed);
       I->RequestsCtr->add();
       C.ReqStartUs = telemetryNowUs();
-      if (MustShed(M.BatchFeatures.size())) {
-        ShedFrame(C, M.BatchFeatures.size());
+      if (MustShed(N)) {
+        ShedFrame(C, N);
         break;
       }
-      Message Reply;
-      Reply.Type = MsgType::ModifierBatch;
-      Reply.BatchModifiers.resize(M.BatchFeatures.size());
       uint64_t Version = Registry.version();
       std::vector<PredictRequest> Misses;
-      for (size_t J = 0; J < M.BatchFeatures.size(); ++J) {
-        const BatchFeatureEntry &E = M.BatchFeatures[J];
-        if (E.FeatureValues.size() != NumFeatures) {
-          CountAnswer(false); // HasModifier stays false
+      for (size_t J = 0; J < N; ++J) {
+        EntryAnswer &A = Req.Answers[J];
+        if (A.What == EntryAnswer::WrongFeatureCount) {
+          CountAnswer(false);
           continue;
         }
+        const BatchFeatureEntry &E = Req.Entries[J];
         FeatureVector FV = toFeatureVector(E.FeatureValues);
         uint64_t Hash = FV.hash();
         std::optional<uint64_t> Answer;
         if (Cfg.CacheCapacity &&
             Cache.lookup(Version, E.Level, Hash, Answer)) {
           I->CacheHits.fetch_add(1, std::memory_order_relaxed);
-          if (Answer) {
-            Reply.BatchModifiers[J].HasModifier = true;
-            Reply.BatchModifiers[J].Bits = *Answer;
-          }
+          if (Answer)
+            A = {EntryAnswer::Modifier, *Answer};
           CountAnswer(Answer.has_value());
           continue;
         }
@@ -368,15 +302,13 @@ void ModelServer::loop() {
         Misses.push_back(std::move(R));
       }
       if (Misses.empty()) {
-        WriteMessage(C, Reply);
-        uint64_t DurUs = telemetryNowUs() - C.ReqStartUs;
-        I->RequestUs->record(DurUs);
+        WriteMessage(C, predictionReply(Req));
+        I->RequestUs->record(telemetryNowUs() - C.ReqStartUs);
         break;
       }
       C.Busy = true;
-      C.IsBatch = true;
       C.Remaining = Misses.size();
-      C.Reply = std::move(Reply);
+      C.Request = std::move(Req);
       InflightEntries.fetch_add(Misses.size(), std::memory_order_relaxed);
       I->InflightGauge->set(
           (int64_t)InflightEntries.load(std::memory_order_relaxed));
@@ -397,8 +329,8 @@ void ModelServer::loop() {
     std::vector<uint8_t> &B = C.InBuf;
     size_t Off = 0;
     while (B.size() - Off >= 4) {
-      uint32_t Len = readLe32(&B[Off]);
-      if (Len == 0 || Len > MaxFrameBytes) {
+      uint32_t Len = decodeFrameLength(&B[Off]);
+      if (Len == 0) {
         // Unframeable garbage: the stream can never re-align; drop the
         // connection (mirrors recvMessageFor's Closed classification).
         C.Dead = true;
@@ -448,20 +380,8 @@ void ModelServer::loop() {
       if (It == I->Conns.end())
         continue; // connection already torn down (never while Busy)
       Connection &C = *It->second;
-      if (C.IsBatch) {
-        if (R.Tag < C.Reply.BatchModifiers.size()) {
-          C.Reply.BatchModifiers[R.Tag].HasModifier = R.Has;
-          C.Reply.BatchModifiers[R.Tag].Bits = R.Bits;
-        }
-      } else {
-        if (R.Has) {
-          C.Reply.Type = MsgType::Modifier;
-          C.Reply.ModifierBits = R.Bits;
-        } else {
-          C.Reply.Type = MsgType::Error;
-          C.Reply.Text = "no model for level";
-        }
-      }
+      if (R.Tag < C.Request.Answers.size() && R.Has)
+        C.Request.Answers[R.Tag] = {EntryAnswer::Modifier, R.Bits};
       CountAnswer(R.Has);
       if (C.Remaining > 0 && --C.Remaining == 0)
         FinishRequest(C);

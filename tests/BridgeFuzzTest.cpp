@@ -45,12 +45,12 @@ public:
     Buf.insert(Buf.end(), Data, Data + Size);
     return true;
   }
-  bool readBytes(uint8_t *Data, size_t Size) override {
+  IoStatus readBytesFor(uint8_t *Data, size_t Size, int) override {
     if (Buf.size() - Pos < Size)
-      return false; // truncated input == EOF
+      return IoStatus::Closed; // truncated input == EOF
     std::memcpy(Data, Buf.data() + Pos, Size);
     Pos += Size;
-    return true;
+    return IoStatus::Ok;
   }
 
   const std::vector<uint8_t> &bytes() const { return Buf; }

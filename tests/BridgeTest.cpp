@@ -48,6 +48,16 @@ void writeRawFrame(Transport &T, uint8_t Type,
   ASSERT_TRUE(T.writeBytes(Frame.data(), Frame.size()));
 }
 
+/// One connection, requests that wait for their answer as long as a
+/// test may take, and no prediction cache: every request reaches the
+/// server, whose answers the tests count.
+ResilientModelClient::Config blockingConfig() {
+  ResilientModelClient::Config C;
+  C.RequestTimeoutMs = 10000;
+  C.CacheCapacity = 0;
+  return C;
+}
+
 double elapsedMs(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
@@ -136,8 +146,7 @@ TEST(Service, InProcessClientServerSession) {
   auto [ClientEnd, ServerEnd] = InProcessPipe::makePair();
   StubBackend Backend;
   std::thread Server([&] { serveModel(*ServerEnd, Backend); });
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(ClientEnd), blockingConfig());
 
   FeatureVector F;
   F.set(CF_TreeNodes, 40);
@@ -153,6 +162,7 @@ TEST(Service, InProcessClientServerSession) {
   Client.bye();
   Server.join();
   EXPECT_EQ(Backend.Served, 1u);
+  EXPECT_EQ(Client.counters().ErrorReplies, 1u);
 }
 
 TEST(Service, NamedPipeSession) {
@@ -170,8 +180,7 @@ TEST(Service, NamedPipeSession) {
   });
   auto T = FifoTransport::open(ToServer, ToClient, /*IsServer=*/false);
   ASSERT_NE(T, nullptr);
-  ModelClient Client(*T);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(T), blockingConfig());
   FeatureVector F;
   F.set(CF_TreeNodes, 7);
   std::optional<uint64_t> Bits = Client.requestModifier(OptLevel::Cold, F);
@@ -189,8 +198,7 @@ TEST(Service, ManySequentialRequests) {
   StubBackend Backend;
   Backend.FailLevels = false;
   std::thread Server([&] { serveModel(*ServerEnd, Backend); });
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient Client(std::move(ClientEnd), blockingConfig());
   for (unsigned I = 0; I < 200; ++I) {
     FeatureVector F;
     F.set(CF_TreeNodes, I);
@@ -341,7 +349,7 @@ TEST(Service, RejectsWrongFeatureCountWithErrorReply) {
   EXPECT_EQ(Reply.Text, "feature count mismatch");
   // The malformed request never reached the backend and the session
   // survives: a well-formed request still gets served.
-  ModelClient Client(*ClientEnd);
+  ResilientModelClient Client(std::move(ClientEnd), blockingConfig());
   FeatureVector F;
   F.set(CF_TreeNodes, 4);
   auto Bits = Client.requestModifier(OptLevel::Cold, F);
@@ -361,8 +369,12 @@ TEST(Service, MalformedFrameGetsErrorReplyAndSessionSurvives) {
   ASSERT_TRUE(recvMessage(*ClientEnd, Reply));
   EXPECT_EQ(Reply.Type, MsgType::Error);
   EXPECT_EQ(Reply.Text, "malformed frame");
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  // The session survives: the handshake and a request still succeed.
+  ResilientModelClient Client(std::move(ClientEnd), blockingConfig());
+  FeatureVector F;
+  F.set(CF_TreeNodes, 5);
+  EXPECT_EQ(Client.requestModifier(OptLevel::Cold, F),
+            std::optional<uint64_t>(5));
   Client.bye();
   Server.join();
 }

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ModifierSweep.h"
 #include "bytecode/Builder.h"
 #include "runtime/VirtualMachine.h"
 #include "verify/PassVerifier.h"
@@ -37,44 +38,7 @@ std::string caseName(const ::testing::TestParamInfo<SweepCase> &Info) {
 class ModifierSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ModifierSweep, AnyModifierPreservesSemantics) {
-  const SweepCase &Param = GetParam();
-  Program P = buildWorkload(workloadByCode(Param.Code));
-
-  // Reference checksum from the pure interpreter.
-  int64_t Reference = workloadChecksum(P, 1);
-
-  // Kernels to force-compile with each modifier: every generated kernel
-  // plus the driver.
-  std::vector<uint32_t> Methods;
-  for (uint32_t M = 0; M < P.numMethods(); ++M)
-    if (P.methodAt(M).Name.find("Kernel") != std::string::npos ||
-        P.methodAt(M).Name == "main")
-      Methods.push_back(M);
-
-  Rng R(mix64(0xabcdef ^ (uint64_t)Param.Level ^ P.numMethods()));
-  std::vector<PlanModifier> Modifiers{
-      PlanModifier(), // null: the original plan
-      PlanModifier(BitSet64::allZero(NumTransformations)), // everything off
-  };
-  for (PlanModifier &M : generateRandomizedModifiers(R, 6))
-    Modifiers.push_back(M);
-  for (PlanModifier &M : generateProgressiveModifiers(R, 4))
-    Modifiers.push_back(M);
-
-  for (const PlanModifier &Mod : Modifiers) {
-    VirtualMachine::Config Cfg;
-    Cfg.Control.Enabled = false; // plans pinned by us
-    VirtualMachine VM(P, Cfg);
-    for (uint32_t M : Methods)
-      VM.compileWithPlan(M, planForLevel(Param.Level), Mod);
-    ExecResult Res = VM.run({Value::ofI(0)});
-    ASSERT_FALSE(Res.Exceptional)
-        << "modifier " << Mod.enabledMask().toString() << " threw";
-    int64_t Got = (int64_t)mix64((uint64_t)Res.Ret.I);
-    EXPECT_EQ(Got, Reference)
-        << "modifier " << Mod.enabledMask().toString() << " at "
-        << optLevelName(Param.Level) << " changed semantics";
-  }
+  checkModifiersPreserveSemantics(GetParam().Code, GetParam().Level);
 }
 
 namespace {
@@ -83,7 +47,8 @@ std::vector<SweepCase> sweepCases() {
   std::vector<SweepCase> Cases;
   for (const WorkloadSpec &S : trainingBenchmarks())
     for (unsigned L = 0; L < NumOptLevels; ++L)
-      Cases.push_back({S.Code, (OptLevel)L});
+      if ((OptLevel)L != OptLevel::Hot) // see HotModifierSweepTest.cpp
+        Cases.push_back({S.Code, (OptLevel)L});
   // Two DaCapo-style benchmarks stress BCD and heavy dispatch.
   for (const char *Code : {"h2", "ec"})
     for (OptLevel L : {OptLevel::Warm, OptLevel::Scorching})

@@ -465,8 +465,10 @@ TEST(Serve, ServeModelReportsServedVersusDegraded) {
     delete Raw;
   });
 
-  ModelClient Client(*ClientEnd);
-  ASSERT_TRUE(Client.hello());
+  ResilientModelClient::Config Cfg;
+  Cfg.RequestTimeoutMs = 10000;
+  Cfg.CacheCapacity = 0;
+  ResilientModelClient Client(std::move(ClientEnd), Cfg);
   // 3 covered requests, 2 uncovered (Scorching has no model).
   for (unsigned I = 0; I < 3; ++I)
     EXPECT_TRUE(Client.requestModifier(OptLevel::Warm, uniqueFeatures(1, I))
